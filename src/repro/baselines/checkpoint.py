@@ -256,9 +256,8 @@ class CheckpointPlatform:
         else:
             stop_energy = None
             period_limit = self.config.period_instructions
-        kernel = exactkernel.get_kernel()
         if mode == "recurrence":
-            ticks, counter = kernel.storage_run(
+            ticks, counter = exactkernel.storage_run(
                 self, p_in_w, start, stop, dt_s,
                 stop_energy_j=stop_energy,
                 period_limit=period_limit,
@@ -269,7 +268,7 @@ class CheckpointPlatform:
             # the block engine; the periodic trigger stops on a
             # conservative worst-case instruction bound, and the
             # finishing tick is consumed in-batch.
-            ticks, counter = kernel.isa_storage_run(
+            ticks, counter = exactkernel.isa_storage_run(
                 self, p_in_w, start, stop, dt_s,
                 stop_energy_j=stop_energy,
                 period_limit=period_limit,

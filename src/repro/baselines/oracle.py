@@ -61,14 +61,13 @@ class OraclePlatform:
         mode = exactkernel.batchable_workload(self.workload)
         if self.workload.finished or not mode:
             return None
-        kernel = exactkernel.get_kernel()
         if mode == "recurrence":
-            ticks = kernel.oracle_run(self, start, stop, dt_s)
+            ticks = exactkernel.oracle_run(self, start, stop, dt_s)
         else:
             # Functional (NV16) workloads: each tick really executes
             # through the block engine; the finishing tick is consumed
             # in-batch (the simulator checks finished after the batch).
-            ticks = kernel.isa_oracle_run(self, start, stop, dt_s)
+            ticks = exactkernel.isa_oracle_run(self, start, stop, dt_s)
         return [("run", ticks)] if ticks else None
 
     def stats(self) -> Dict[str, float]:

@@ -184,7 +184,7 @@ class WaitComputePlatform:
             or getattr(self.storage, "soa_params", None) is None
         ):
             return None
-        ticks, _ = exactkernel.get_kernel().storage_run(
+        ticks, _ = exactkernel.storage_run(
             self, p_in_w, start, stop, dt_s,
             stop_at_unit_boundary=True,
         )

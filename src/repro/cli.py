@@ -529,6 +529,12 @@ def cmd_fleet_run(args) -> int:
         configs = spec.devices()
     except ValueError as exc:
         raise SystemExit(f"error: bad fleet spec: {exc}")
+    index = args.replay_device
+    if index is not None and not 0 <= index < len(configs):
+        raise SystemExit(
+            f"error: --replay-device {index} out of range "
+            f"(fleet has {len(configs)} devices)"
+        )
 
     # Telemetry is on when asked for (flags or spec cadence) and
     # always under `watch` — the dashboard feeds on fleet.sample.
@@ -624,13 +630,7 @@ def cmd_fleet_run(args) -> int:
             raise SystemExit(f"error: cannot write results: {exc}")
         if not args.json:
             print(f"results : {path}")
-    if args.replay_device is not None:
-        index = args.replay_device
-        if not 0 <= index < len(configs):
-            raise SystemExit(
-                f"error: --replay-device {index} out of range "
-                f"(fleet has {len(configs)} devices)"
-            )
+    if index is not None:
         # Drill down: re-run one device through the single-device
         # engine with full observability.  Exact by construction —
         # fleet results are bit-identical to the single engine.

@@ -322,9 +322,8 @@ class NVPPlatform:
             # with the tick the exact engine would have used.
             self.bus.set_clock(start, dt_s)
         plan = self.thresholds(dt_s)
-        kernel = exactkernel.get_kernel()
         if mode == "recurrence":
-            ticks, _ = kernel.storage_run(
+            ticks, _ = exactkernel.storage_run(
                 self, p_in_w, start, stop, dt_s,
                 stop_energy_j=plan.backup_threshold_j,
             )
@@ -332,7 +331,7 @@ class NVPPlatform:
             # Functional (NV16) workloads: the kernel really executes
             # each tick through the block engine; the finishing tick is
             # consumed in-batch (the simulator checks finished after).
-            ticks, _ = kernel.isa_storage_run(
+            ticks, _ = exactkernel.isa_storage_run(
                 self, p_in_w, start, stop, dt_s,
                 stop_energy_j=plan.backup_threshold_j,
             )

@@ -150,6 +150,30 @@ def config_hash(config: Mapping) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
+def check_axes(axes: Mapping[str, Sequence], mode: str) -> None:
+    """Reject malformed swept axes (shared by sweep and fleet specs).
+
+    Every axis must be a non-empty list (or tuple) of values — a bare
+    string would otherwise be swept one character at a time — and
+    ``zip`` axes must all have the same length.
+
+    Raises:
+        ValueError: naming the offending axis.
+    """
+    for axis, values in axes.items():
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(
+                f"axis {axis!r} must be a list of values, "
+                f"not {type(values).__name__}"
+            )
+        if not values:
+            raise ValueError(f"axis {axis!r} has no values")
+    if mode == "zip":
+        lengths = {axis: len(values) for axis, values in axes.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"zip axes differ in length: {lengths}")
+
+
 def _auto_label(point: Mapping[str, object]) -> str:
     return ",".join(f"{k}={v!r}" if isinstance(v, str) else f"{k}={v}"
                     for k, v in point.items())
@@ -181,13 +205,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown mode {self.mode!r}; known: {MODES}")
         if self.mode == "ensemble" and "seed" not in self.axes:
             raise ValueError("ensemble mode requires a 'seed' axis")
-        for axis, values in self.axes.items():
-            if len(list(values)) == 0:
-                raise ValueError(f"axis {axis!r} has no values")
-        if self.mode == "zip" and self.axes:
-            lengths = {axis: len(list(v)) for axis, v in self.axes.items()}
-            if len(set(lengths.values())) > 1:
-                raise ValueError(f"zip axes differ in length: {lengths}")
+        check_axes(self.axes, self.mode)
 
     def points(self) -> List[Dict[str, object]]:
         """The swept ``{axis: value}`` combinations, in sweep order."""

@@ -19,10 +19,9 @@ sub-trace (property-tested in ``tests/test_fastpath_equivalence.py``):
 * the vectorized charge step reproduces ``charge_many`` — and hence
   repeated ``storage.step(p, 0.0, dt)`` — exactly (see
   :mod:`repro.fleet.soa`);
-* run-length state-time accounting uses the same
-  merge-and-flush-on-transition accumulator as the engine, with
-  dormant runs merged as integer tick counts before the single
-  ``count * dt`` product;
+* run-length state-time accounting uses the engine's own
+  :class:`~repro.system.simulator.StateClock`, with dormant runs merged
+  as integer tick counts before the single ``count * dt`` product;
 * harvested energy is the same cumulative-sum prefix the engine's
   vectorized pre-pass reads;
 * powered-on devices route their predictable ``"run"`` ticks through
@@ -66,7 +65,11 @@ from repro.fleet.spec import (
 from repro.obs import events as ev
 from repro.obs.resources import sample_resources, usage_between
 from repro.system.presets import standard_rectifier
-from repro.system.simulator import SystemSimulator, assemble_result
+from repro.system.simulator import (
+    StateClock,
+    SystemSimulator,
+    assemble_result,
+)
 
 #: Device lifecycle modes inside the kernel.
 MODE_ACTIVE = "active"
@@ -158,18 +161,15 @@ class _FleetDevice:
     __slots__ = (
         "index", "config", "platform", "storage", "off_plan_fn", "soa",
         "exact_batch_fn", "skip_until", "batch_armed",
-        "row", "base", "n_ticks", "stop_when_finished",
-        "state_time", "run_state", "run_ticks",
+        "row", "base", "n_ticks", "stop_when_finished", "clock",
         "completion_time", "finished_seen", "ticks_run",
         "mode", "dormant_state", "plan", "result",
     )
 
-    def __init__(self, index: int, config: Dict) -> None:
+    def __init__(self, index: int, config: Dict, dt: float) -> None:
         self.index = index
         self.config = config
-        self.state_time: Dict[str, float] = {}
-        self.run_state: Optional[str] = None
-        self.run_ticks = 0
+        self.clock = StateClock(dt)
         self.completion_time: Optional[float] = None
         self.finished_seen = False
         self.ticks_run = 0
@@ -230,7 +230,7 @@ class FleetKernel:
         # -- device rows ----------------------------------------------
         self.arrays = FleetArrays(len(configs), self.dt)
         for row, config in enumerate(configs):
-            dev = _FleetDevice(row, config)
+            dev = _FleetDevice(row, config, self.dt)
             dev.row = row
             dev.base = int(segments.bases[row])
             dev.n_ticks = int(segments.n_ticks[row])
@@ -252,26 +252,6 @@ class FleetKernel:
             self._route(dev)
         self._active.extend(self._pending_active)
         self._pending_active.clear()
-
-    # -- state-time accounting ----------------------------------------
-
-    def _account(self, dev: _FleetDevice, state: str, count: int) -> None:
-        """Merge ``count`` ticks of ``state`` into the device's runs.
-
-        Same accumulator the single engine keeps: consecutive
-        same-state runs merge as integer tick counts; a transition
-        flushes the previous run with one ``ticks * dt`` product.
-        """
-        if state == dev.run_state:
-            dev.run_ticks += count
-        else:
-            if dev.run_ticks:
-                dev.state_time[dev.run_state] = (
-                    dev.state_time.get(dev.run_state, 0.0)
-                    + dev.run_ticks * self.dt
-                )
-            dev.run_state = state
-            dev.run_ticks = count
 
     # -- passive-row management ----------------------------------------
 
@@ -307,7 +287,7 @@ class FleetKernel:
         if pend:
             if dev.plan is not None and dev.plan.on_charged is not None:
                 dev.plan.on_charged(pend)
-            self._account(dev, dev.dormant_state, pend)
+            dev.clock.add(dev.dormant_state, pend)
             self.arrays.pending[dev.row] = 0
         self.arrays.store_row(dev.row, dev.storage)
 
@@ -328,8 +308,8 @@ class FleetKernel:
             # The crossing tick belongs to the wake, not the dormant
             # run — same re-attribution the shared fast-forward loop
             # performs.
-            dev.run_ticks -= 1
-            self._account(dev, report.state, 1)
+            dev.clock.ticks -= 1
+            dev.clock.add(report.state, 1)
             arrays.retire_row(dev.row)
             dev.mode = MODE_ACTIVE
             dev.batch_armed = True
@@ -364,7 +344,7 @@ class FleetKernel:
                 if runs:
                     batched = 0
                     for state, n in runs:
-                        self._account(dev, state, n)
+                        dev.clock.add(state, n)
                         batched += n
                     dev.skip_until = i + batched
                     self.ticks_batched += batched
@@ -384,11 +364,10 @@ class FleetKernel:
                 # it exactly, and re-arm on the next state transition
                 # (same disarm-after-miss the single engine uses).
                 dev.batch_armed = False
-            prev_state = dev.run_state
             report = dev.platform.tick(float(power[dev.base + i]), dt)
-            self._account(dev, report.state, 1)
-            if report.state != prev_state:
+            if report.state != dev.clock.state:
                 dev.batch_armed = True
+            dev.clock.add(report.state, 1)
             finished = dev.platform.finished
             if not dev.finished_seen and finished:
                 dev.finished_seen = True
@@ -406,7 +385,7 @@ class FleetKernel:
                     # them in bulk and finish the device now.
                     remaining = dev.n_ticks - (i + 1)
                     if remaining:
-                        self._account(dev, "done", remaining)
+                        dev.clock.add("done", remaining)
                     self._finalize(dev, dev.n_ticks)
                     continue
             elif dev.soa is not None and dev.off_plan_fn is not None:
@@ -429,12 +408,6 @@ class FleetKernel:
             self.arrays.retire_row(dev.row)
             self.n_passive -= 1
         dt = self.dt
-        if dev.run_ticks:
-            dev.state_time[dev.run_state] = (
-                dev.state_time.get(dev.run_state, 0.0)
-                + dev.run_ticks * dt
-            )
-            dev.run_ticks = 0
         if ticks_run:
             # Same prefix sum the engine's vectorized pre-pass reads:
             # cumsum over the device's sub-trace, times dt.
@@ -443,7 +416,7 @@ class FleetKernel:
         else:
             harvested = 0.0
         dev.result = assemble_result(
-            dev.platform, dev.state_time, ticks_run, dt,
+            dev.platform, dev.clock.total(), ticks_run, dt,
             dev.completion_time, harvested,
         )
         dev.ticks_run = ticks_run

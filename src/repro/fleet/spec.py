@@ -29,7 +29,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.exp.spec import _auto_label, config_hash, resolve_config
+from repro.exp.spec import (
+    _auto_label,
+    check_axes,
+    config_hash,
+    resolve_config,
+)
 
 #: The one config key that exists only for fleet devices.
 DEVICE_OFFSET_KEY = "trace_offset_s"
@@ -118,13 +123,7 @@ class FleetSpec:
             raise ValueError("stagger_s cannot be negative")
         if self.telemetry_every_s is not None and self.telemetry_every_s <= 0:
             raise ValueError("telemetry_every_s must be positive")
-        for axis, values in self.axes.items():
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ValueError(f"axis {axis!r} must be a non-empty list")
-        if self.mode == "zip" and self.axes:
-            lengths = {len(values) for values in self.axes.values()}
-            if len(lengths) > 1:
-                raise ValueError("zip mode requires equal-length axes")
+        check_axes(self.axes, self.mode)
 
     # -- expansion ---------------------------------------------------------
 

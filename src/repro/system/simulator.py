@@ -149,6 +149,53 @@ def assemble_result(
     return result
 
 
+class StateClock:
+    """Run-length state-time accumulator shared by every engine.
+
+    Consecutive ticks of the same state merge as an integer tick count;
+    a transition adds the finished run's ``ticks * dt`` to that state's
+    time.  :class:`SystemSimulator` and the fleet kernel
+    (:mod:`repro.fleet.kernel`) both account through it, so every
+    engine path performs the identical float additions in the
+    identical order.
+
+    Attributes:
+        seconds: accumulated seconds per state (flushed runs only).
+        state: the state of the current run (``None`` before the first
+            tick).
+        ticks: ticks in the current run, not yet in ``seconds``.
+    """
+
+    __slots__ = ("dt", "seconds", "state", "ticks")
+
+    def __init__(self, dt: float) -> None:
+        self.dt = dt
+        self.seconds: Dict[str, float] = {}
+        self.state: Optional[str] = None
+        self.ticks = 0
+
+    def add(self, state: str, ticks: int) -> None:
+        """Account ``ticks`` ticks spent in ``state``."""
+        if state == self.state:
+            self.ticks += ticks
+        else:
+            self._flush()
+            self.state = state
+            self.ticks = ticks
+
+    def total(self) -> Dict[str, float]:
+        """Flush the current run; the per-state seconds."""
+        self._flush()
+        self.ticks = 0
+        return self.seconds
+
+    def _flush(self) -> None:
+        if self.ticks:
+            self.seconds[self.state] = (
+                self.seconds.get(self.state, 0.0) + self.ticks * self.dt
+            )
+
+
 class SystemSimulator:
     """Walks a power trace through a platform.
 
@@ -262,28 +309,24 @@ class SystemSimulator:
         storage = getattr(platform, "storage", None)
         want_ticks = bus is not None and bus.wants(ev.TICK)
         want_samples = bus is not None and self.sample_stride > 0
-        # Only an explicit ``sim.tick`` subscription forces the exact
-        # engine — every other event is synthesized bit-identically
-        # from the fast path's run lengths.  A platform that is already
-        # finished at entry completes on its first tick; the exact path
-        # keeps that accounting.
-        fast = (
-            self.use_fast_forward is not False
-            and not want_ticks
-            and getattr(platform, "fast_forward", None) is not None
-            and not platform.finished
-        )
-        # The batched active-tick engine is selected independently but
-        # under the same subscription sensitivity: only a ``sim.tick``
-        # subscriber forces scalar execution.
-        batch = (
-            self.use_exact_batch is not False
-            and not want_ticks
-            and getattr(platform, "exact_batch", None) is not None
-            and not platform.finished
-        )
+        # The bulk probes, tried in order before each scalar tick: the
+        # ``fast_forward`` and ``exact_batch`` capabilities, each unless
+        # its knob is ``False``.  Only an explicit ``sim.tick``
+        # subscription forces the exact engine — every other event is
+        # synthesized bit-identically from the probes' run lengths.  A
+        # platform that is already finished at entry completes on its
+        # first tick; the exact path keeps that accounting.
+        probes = []
+        if not want_ticks and not platform.finished:
+            for name, knob in (
+                ("fast_forward", self.use_fast_forward),
+                ("exact_batch", self.use_exact_batch),
+            ):
+                probe = getattr(platform, name, None)
+                if probe is not None and knob is not False:
+                    probes.append((name, probe))
         if bus is not None:
-            if fast or batch:
+            if probes:
                 # The synthesizer owns ALL outage emission (fast
                 # segments and interleaved exact ticks alike) so one
                 # state machine sees every tick.
@@ -304,104 +347,56 @@ class SystemSimulator:
                 dt_s=dt,
             )
 
-        # state_time is accumulated per state *run* (count * dt flushed
-        # at each transition) rather than dict-churned every tick; the
-        # fast-forward path merges its runs into the same accumulator,
-        # so both paths compute identical sums.
-        state_time: Dict[str, float] = {}
-        run_state: Optional[str] = None
-        run_ticks = 0
+        clock = StateClock(dt)
         completion_time: Optional[float] = None
         finished = False
-        ticks_fast = 0
-        ticks_batch = 0
         ticks_exact = 0
         index = 0
-        # Disarm the fast-forward and exact-batch probes after a miss
-        # so a platform stuck in an unbatchable state does not pay a
-        # failed call per tick; any state transition re-arms them.
-        try_fast = fast
-        try_batch = batch
+        probe_ticks = {"fast_forward": 0, "exact_batch": 0}
+        # A probe that misses is disarmed so a platform stuck in an
+        # unbatchable state does not pay a failed call per tick; any
+        # state transition re-arms them all.
+        armed = probes
 
         while index < n_ticks:
-            if try_fast:
+            runs = None
+            while armed:
+                name, probe = armed[0]
                 if synth is not None:
                     # Buffer platform emits (threshold recompute,
                     # restore/wake) so they can be merged with the
                     # synthesized stream in exact-engine order.
                     bus.begin_staging()
                     try:
-                        runs = platform.fast_forward(p_in_w, index, n_ticks, dt)
+                        runs = probe(p_in_w, index, n_ticks, dt)
                     finally:
                         staged = bus.end_staging()
                 else:
-                    runs = platform.fast_forward(p_in_w, index, n_ticks, dt)
+                    runs = probe(p_in_w, index, n_ticks, dt)
                     staged = None
                 if runs:
-                    if synth is not None:
-                        synth.integrate(index, runs, staged, run_state)
-                    for state, count in runs:
-                        if state == run_state:
-                            run_ticks += count
-                        else:
-                            if run_ticks:
-                                state_time[run_state] = (
-                                    state_time.get(run_state, 0.0)
-                                    + run_ticks * dt
-                                )
-                            run_state = state
-                            run_ticks = count
-                        index += count
-                        ticks_fast += count
-                    continue
-                if synth is not None and staged:
+                    break
+                if staged:
                     synth.flush_staged(index, staged)
-                try_fast = False
-            if try_batch:
+                armed = armed[1:]
+            if runs:
                 if synth is not None:
-                    # Buffer platform emits (a lazy threshold
-                    # recompute at batch start) for in-order merging,
-                    # exactly as the fast-forward path does.
-                    bus.begin_staging()
-                    try:
-                        runs = platform.exact_batch(
-                            p_in_w, index, n_ticks, dt
-                        )
-                    finally:
-                        staged = bus.end_staging()
-                else:
-                    runs = platform.exact_batch(p_in_w, index, n_ticks, dt)
-                    staged = None
-                if runs:
-                    if synth is not None:
-                        synth.integrate(index, runs, staged, run_state)
-                    for state, count in runs:
-                        if state == run_state:
-                            run_ticks += count
-                        else:
-                            if run_ticks:
-                                state_time[run_state] = (
-                                    state_time.get(run_state, 0.0)
-                                    + run_ticks * dt
-                                )
-                            run_state = state
-                            run_ticks = count
-                        index += count
-                        ticks_batch += count
-                    if not finished and platform.finished:
-                        # An "isa"-mode batch consumes the finishing
-                        # tick (unlike the recurrence kernel, which
-                        # stops before it), so completion accounting
-                        # runs here with the same index-past-the-tick
-                        # timestamp the scalar path records.
-                        finished = True
-                        completion_time = index * dt
-                        if self.stop_when_finished:
-                            break
-                    continue
-                if synth is not None and staged:
-                    synth.flush_staged(index, staged)
-                try_batch = False
+                    synth.integrate(index, runs, staged, clock.state)
+                for state, count in runs:
+                    clock.add(state, count)
+                    index += count
+                    probe_ticks[name] += count
+                if not finished and platform.finished:
+                    # An "isa"-mode batch consumes the finishing tick
+                    # (unlike the recurrence kernel, which stops
+                    # before it), so completion accounting runs here
+                    # with the same index-past-the-tick timestamp the
+                    # scalar path records.
+                    finished = True
+                    completion_time = index * dt
+                    if self.stop_when_finished:
+                        break
+                continue
             p_in = p_in_w[index]
             if bus is not None:
                 t_now = index * dt
@@ -414,19 +409,11 @@ class SystemSimulator:
             state = report.state
             index += 1
             ticks_exact += 1
-            if state != run_state:
-                if run_ticks:
-                    state_time[run_state] = (
-                        state_time.get(run_state, 0.0) + run_ticks * dt
-                    )
+            if state != clock.state:
                 if bus is not None:
-                    bus.emit(ev.STATE_TRANSITION, state=state, prev=run_state)
-                run_state = state
-                run_ticks = 1
-                try_fast = fast
-                try_batch = batch
-            else:
-                run_ticks += 1
+                    bus.emit(ev.STATE_TRANSITION, state=state, prev=clock.state)
+                armed = probes
+            clock.add(state, 1)
             if want_samples and (index - 1) % self.sample_stride == 0:
                 bus.emit(ev.SAMPLE, state=state, tick=index - 1)
             if want_ticks:
@@ -443,14 +430,10 @@ class SystemSimulator:
                 completion_time = index * dt
                 if self.stop_when_finished:
                     break
-        if run_ticks:
-            state_time[run_state] = (
-                state_time.get(run_state, 0.0) + run_ticks * dt
-            )
         ticks_run = index
         harvested = float(cum_energy_j[ticks_run - 1]) if ticks_run else 0.0
-        self.ticks_fast_forwarded = ticks_fast
-        self.ticks_batched = ticks_batch
+        self.ticks_fast_forwarded = probe_ticks["fast_forward"]
+        self.ticks_batched = probe_ticks["exact_batch"]
         self.ticks_exact = ticks_exact
 
         if bus is not None:
@@ -468,7 +451,7 @@ class SystemSimulator:
             )
 
         result = assemble_result(
-            self.platform, state_time, ticks_run, dt, completion_time,
+            self.platform, clock.total(), ticks_run, dt, completion_time,
             harvested,
         )
         if self.metrics is not None:

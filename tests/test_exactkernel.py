@@ -224,7 +224,7 @@ class TestStorageRunProperties:
 
         fresh, start2 = warmed_nvp(powers)
         assert start2 == start
-        ticks, _ = exactkernel.get_kernel().storage_run(
+        ticks, _ = exactkernel.storage_run(
             fresh, powers, start, len(powers), DT, stop_energy_j=landing
         )
         # Pre-tick check: the tick that *starts* at the landing energy
@@ -263,7 +263,7 @@ class TestStorageRunProperties:
         batched, start = warmed()
         scalar, start2 = warmed()
         assert start == start2
-        ticks, _ = exactkernel.get_kernel().storage_run(
+        ticks, _ = exactkernel.storage_run(
             batched, powers, start, len(powers), DT
         )
         # Without a stop threshold the batch runs until the deficit.
@@ -301,7 +301,7 @@ class TestOracleCumsumDiscipline:
     def test_oracle_run_matches_scalar_ticking(self):
         batched = build_oracle(AbstractWorkload())
         scalar = build_oracle(AbstractWorkload())
-        ticks = exactkernel.get_kernel().oracle_run(batched, 0, 5000, DT)
+        ticks = exactkernel.oracle_run(batched, 0, 5000, DT)
         assert ticks == 5000
         for _ in range(ticks):
             scalar.tick(0.0, DT)
@@ -317,7 +317,7 @@ class TestOracleCumsumDiscipline:
     def test_oracle_run_stops_before_the_finishing_tick(self):
         workload = AbstractWorkload(total_units=1, instructions_per_unit=500)
         batched = build_oracle(workload)
-        ticks = exactkernel.get_kernel().oracle_run(batched, 0, 5000, DT)
+        ticks = exactkernel.oracle_run(batched, 0, 5000, DT)
         assert not batched.finished
         report = batched.tick(0.0, DT)  # the finishing tick, scalar
         assert batched.finished

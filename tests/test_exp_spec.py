@@ -121,6 +121,13 @@ class TestExpand:
         with pytest.raises(ValueError, match="no values"):
             ExperimentSpec(name="g", axes={"seed": []})
 
+    def test_string_axis_rejected(self):
+        # A bare string would otherwise be swept one character at a time.
+        with pytest.raises(ValueError, match="axis 'platform' must be a list"):
+            ExperimentSpec.from_dict(
+                {"name": "s", "axes": {"platform": "nvp"}}
+            )
+
     def test_no_axes_is_single_point(self):
         spec = ExperimentSpec(name="one", base={"seed": 9})
         configs = spec.expand()

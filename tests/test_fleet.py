@@ -85,6 +85,10 @@ class TestFleetSpec:
                 "capacitance_f": [1e-7],
             })
 
+    def test_string_axis_rejected(self):
+        with pytest.raises(ValueError, match="axis 'platform' must be a list"):
+            make_spec(axes={"platform": "nvp"})
+
     def test_offset_is_a_valid_axis(self):
         spec = make_spec(axes={DEVICE_OFFSET_KEY: [0.0, 0.05, 0.1]})
         offsets = [d[DEVICE_OFFSET_KEY] for d in spec.devices()]
@@ -264,3 +268,21 @@ class TestFleetCli:
     def test_replay_index_out_of_range(self, spec_file, cache_dir):
         with pytest.raises(SystemExit):
             main(["fleet", "run", spec_file, "--replay-device", "99"])
+
+    def test_replay_index_checked_before_the_fleet_runs(
+        self, spec_file, cache_dir, tmp_path
+    ):
+        from repro.obs.ledger import RunLedger
+
+        results = tmp_path / "results"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "fleet", "run", spec_file, "--replay-device", "99",
+                "--results-dir", str(results),
+            ])
+        # A string SystemExit code exits the process with status 1.
+        assert isinstance(exc.value.code, str)
+        assert "out of range" in exc.value.code
+        assert not results.exists()
+        assert RunLedger.from_env().records() == []
+        assert not cache_dir.exists()
