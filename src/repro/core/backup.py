@@ -168,6 +168,10 @@ class BackupController:
             self.control_words, tech, policy=UniformPolicy(tech.retention_s)
         )
         self.strategy = strategy_by_name(config.backup_strategy)
+        # Constant parts of every image: the control words are written
+        # as zeros, the SRAM working set as (encoded) zeros.
+        self._control_image = [0] * self.control_words
+        self._sram_image = [ecc_code.encode(0) if config.ecc else 0] * self.sram_words
         self._prev_data_words: Optional[List[int]] = None
         self._has_image = False
         # Accounting.
@@ -277,23 +281,18 @@ class BackupController:
             raise ValueError(
                 f"expected {self.data_words} data words, got {len(data_words)}"
             )
-        for index in range(self.control_words):
-            self._control_array.write(index, 0)
+        self._control_array.write_block(0, self._control_image)
         _, dirty = self.strategy.bits_to_write(data_words, self._prev_data_words)
         if self._data_array is not None:
-            for index in dirty:
-                stored = (
-                    ecc_code.encode(data_words[index] & 0xFFFF)
-                    if self.ecc
-                    else data_words[index]
-                )
-                self._data_array.write(index, stored)
+            if self.ecc:
+                stored = [ecc_code.encode(data_words[i] & 0xFFFF) for i in dirty]
+            else:
+                stored = [data_words[i] for i in dirty]
+            self._data_array.write_words(dirty, stored)
             # Undirtied words must still be *valid* in the array on the
             # first backup; the strategy guarantees a full first write.
             # The SRAM working-set words are modelled content-free.
-            sram_fill = ecc_code.encode(0) if self.ecc else 0
-            for offset in range(self.sram_words):
-                self._data_array.write(self.data_words + offset, sram_fill)
+            self._data_array.write_block(self.data_words, self._sram_image)
         self._prev_data_words = list(data_words)
         self._has_image = True
         self.backup_count += 1

@@ -118,6 +118,7 @@ class NVMArray:
         self._retention_profile = np.array(
             self.policy.retention_profile(word_bits), dtype=float
         )
+        self._bit_shifts = np.arange(word_bits, dtype=np.uint32)
 
     @property
     def word_write_energy_j(self) -> float:
@@ -145,9 +146,28 @@ class NVMArray:
         self._valid[address] = True
 
     def write_block(self, base: int, values: Sequence[int]) -> None:
-        """Write a contiguous block of words."""
-        for offset, value in enumerate(values):
-            self.write(base + offset, value)
+        """Write a contiguous block of words, validated as a whole
+        (see :meth:`write_words`)."""
+        masked = self._masked(values)
+        self._check_range(base, len(masked))
+        self._store(slice(base, base + len(masked)), masked)
+
+    def write_words(self, addresses: Sequence[int], values: Sequence[int]) -> None:
+        """Write ``values[i]`` to ``addresses[i]``; addresses are distinct.
+
+        Equivalent to one :meth:`write` per word in order, but the whole
+        write is validated first, so a bad address leaves the array and
+        its accounting untouched.
+        """
+        masked = self._masked(values)
+        count = len(masked)
+        if len(addresses) != count:
+            raise ValueError(f"{len(addresses)} addresses for {count} values")
+        for address in addresses:
+            self._check_address(address)
+        if len(set(addresses)) != count:
+            raise ValueError("write_words addresses must be distinct")
+        self._store(np.array(addresses, dtype=np.intp), masked)
 
     def read(self, address: int) -> int:
         """Read one word, charging read energy.
@@ -166,8 +186,25 @@ class NVMArray:
         return int(self._words[address])
 
     def read_block(self, base: int, count: int) -> List[int]:
-        """Read a contiguous block of words."""
-        return [self.read(base + offset) for offset in range(count)]
+        """Read a contiguous block of words.
+
+        Equivalent to one :meth:`read` per word, but the whole block is
+        validated (range and validity) before any read is counted.
+        """
+        self._check_range(base, count)
+        block = slice(base, base + count)
+        valid = self._valid[block].tolist()
+        if False in valid:
+            first = base + valid.index(False)
+            raise ValueError(f"word {first} has never been written")
+        stats = self.stats
+        stats.reads += count
+        energy_j = self.technology.read_energy_j_per_bit * self.word_bits
+        total_j = stats.read_energy_j
+        for _ in range(count):
+            total_j += energy_j
+        stats.read_energy_j = total_j
+        return self._words[block].tolist()
 
     def power_outage(self, duration_s: float, rng: np.random.Generator) -> int:
         """Age the array through a power outage.
@@ -176,6 +213,13 @@ class NVMArray:
         ``1 - exp(-duration / retention(bit))``; relaxed bits read back
         random values.  Returns the number of bits that actually
         flipped.
+
+        Randomness: one ``rng.random((2, valid_words, word_bits))``
+        draw per outage that has a valid word and a non-zero duration,
+        whether or not any bit relaxes.  The first plane decides
+        relaxation, the second the value a relaxed bit reads back; on a
+        ``Generator`` this is the stream of two ``(valid_words,
+        word_bits)`` draws.
         """
         if duration_s < 0:
             raise ValueError("outage duration cannot be negative")
@@ -184,16 +228,20 @@ class NVMArray:
         if len(valid_idx) == 0 or duration_s == 0.0:
             return 0
         p_relax = 1.0 - np.exp(-duration_s / self._retention_profile)
-        relaxed = rng.random((len(valid_idx), self.word_bits)) < p_relax
+        draws = rng.random((2, len(valid_idx), self.word_bits))
+        relaxed = draws[0] < p_relax
+        if not relaxed.any():
+            return 0
+        failures = self.stats.bit_failures
+        failures[:] = [
+            before + count
+            for before, count in zip(failures, relaxed.sum(axis=0).tolist())
+        ]
         # A relaxed cell reads back a random bit: it flips with p=0.5.
-        flips = relaxed & (rng.random(relaxed.shape) < 0.5)
-        for bit in range(self.word_bits):
-            self.stats.bit_failures[bit] += int(relaxed[:, bit].sum())
+        flips = relaxed & (draws[1] < 0.5)
         if not flips.any():
             return 0
-        flip_masks = np.zeros(len(valid_idx), dtype=np.uint32)
-        for bit in range(self.word_bits):
-            flip_masks |= flips[:, bit].astype(np.uint32) << bit
+        flip_masks = (flips << self._bit_shifts).sum(axis=1, dtype=np.uint32)
         self._words[valid_idx] ^= flip_masks
         return int(flips.sum())
 
@@ -208,6 +256,44 @@ class NVMArray:
             worn_words=worn,
             endurance_cycles=self.technology.endurance_cycles,
         )
+
+    def _masked(self, values: Sequence[int]) -> List[int]:
+        # Masking Python ints first lets any int (negative, wider than
+        # the word) reach the uint32 store, exactly as in :meth:`write`.
+        mask = (1 << self.word_bits) - 1
+        return [value & mask for value in values]
+
+    def _store(self, index, masked: List[int]) -> None:
+        """Commit validated, masked words at ``index`` (a slice or an
+        index array of distinct addresses) as that many :meth:`write`
+        calls would."""
+        if not masked:
+            return
+        stats = self.stats
+        stats.writes += len(masked)
+        energy_j = self._word_write_energy_j
+        total_j = stats.write_energy_j
+        for _ in masked:
+            total_j += energy_j
+        stats.write_energy_j = total_j
+        counts = self._write_counts
+        counts[index] += 1
+        if self.enforce_endurance:
+            fresh = counts[index] <= self.technology.endurance_cycles
+            if not fresh.all():
+                stats.worn_writes += len(masked) - int(fresh.sum())
+                index = np.arange(self.size_words)[index][fresh]
+                masked = np.asarray(masked, dtype=np.uint32)[fresh]
+        self._words[index] = masked
+        self._valid[index] = True
+
+    def _check_range(self, base: int, count: int) -> None:
+        if count < 0:
+            raise ValueError(f"block length {count} is negative")
+        if count and not (0 <= base and base + count <= self.size_words):
+            # Name the first address outside the array.
+            self._check_address(base)
+            self._check_address(self.size_words)
 
     def _check_address(self, address: int) -> None:
         if not 0 <= address < self.size_words:
