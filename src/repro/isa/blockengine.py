@@ -5,8 +5,8 @@ dict chain and one ``StepInfo`` allocation *per instruction* — the last
 scalar-interpreter hot path in the codebase, and the reason real
 kernels (FIR, Sobel, CRC, matmul) crawl while abstract workloads fly
 through the batched exact kernel.  This module compiles a decoded
-program once into basic blocks of specialized register-transfer
-closures and executes straight-line runs as fused loops, bit-for-bit
+program once into basic blocks, each one generated Python function,
+and executes straight-line runs with one call per block, bit-for-bit
 identical to a pure ``step()`` loop.
 
 Compilation
@@ -15,24 +15,28 @@ Compilation
     a control transfer (branch, JAL, JALR, HALT).  Long straight-line
     spans are additionally split every :data:`MAX_BLOCK_LEN`
     instructions so a tick whose budget covers only part of a giant
-    unrolled span can still fuse its prefix blocks.  Each block holds
-    per-instruction ``(closure, time_s, energy_j, cycles)`` tables,
-    classified through the same :func:`~repro.isa.energy.classify` /
+    unrolled span can still fuse its prefix blocks.  Each
+    instruction's seconds, joules and cycles are classified through
+    the same :func:`~repro.isa.energy.classify` /
     :class:`~repro.isa.energy.EnergyModel` lookups ``step()`` performs
     — evaluated once at compile time instead of once per executed
     instruction.
 
-Closures
-    Every instruction compiles to a tiny exec-generated function
-    ``fn(regs, memory)`` with all constants folded: ``r0`` reads fold
-    to literal ``0`` (matching ``_read_reg``, even against adversarial
-    restored states where ``regs[0]`` was forced nonzero), masked
-    immediates, shift counts and ``LUI``/link constants are baked in,
-    and pure ALU writes to ``r0`` compile to a no-op (``LD r0, ...``
-    still performs the read: MMIO pops and region counters are
-    architectural side effects).  Terminators return the next PC;
-    ``JALR`` reads ``rs1`` before writing the link register, exactly
-    as ``_execute`` reads operands before dispatch.
+Statements
+    :func:`_statement` turns every instruction into a line of Python
+    with all constants folded: ``r0`` reads fold to literal ``0``
+    (matching ``_read_reg``, even against adversarial restored states
+    where ``regs[0]`` was forced nonzero), masked immediates, shift
+    counts and ``LUI``/link constants are baked in, signed views are
+    the inline ``((x & 0xFFFF) ^ 0x8000) - 0x8000`` (``to_signed`` for
+    every int), and ``NOP``, ``HALT`` and pure ALU writes to ``r0``
+    have no statement (``LD r0, ...`` still performs the read: MMIO
+    pops and region counters are architectural side effects).  Control
+    instructions assign ``npc``; ``JALR`` reads ``rs1`` before writing
+    the link register, exactly as ``_execute`` reads operands before
+    dispatch.  One ``exec`` then builds, from the same statements,
+    a per-instruction closure ``fn(regs, memory)`` for every
+    instruction and a fused function per block.
 
 Execution
     :meth:`BlockEngine.run` advances a CPU under
@@ -40,15 +44,18 @@ Execution
     budget.  Float accounting (``time_used += cycles * cycle_time_s``,
     ``energy += e``, ``cpu.energy_j += e``) is accumulated strictly
     per instruction in program order — never block-bulk — so every
-    partial sum equals the scalar interpreter's.  A block is executed
-    without per-instruction budget/cap compares only when a
-    conservative guard proves every scalar compare would have passed
-    (the guard over-approximates float accumulation error; blocks that
-    straddle the budget fall back to per-instruction stepping, which
-    is still exact).  Mid-block entry — a restore landing between
-    leaders, a JALR into a block body, or resumption after a budget
-    stop — steps the block tail per instruction and rejoins fused
-    execution at the next leader.
+    partial sum equals the scalar interpreter's.  A fused block
+    function interleaves each statement with that instruction's own
+    ``tu += t; en += e; ce += e``, the floats emitted as ``repr``
+    literals, which parse back to the identical doubles.  A block is
+    executed fused — one call, no per-instruction budget/cap compares
+    — only when a conservative guard proves every scalar compare would
+    have passed (the guard over-approximates float accumulation error;
+    blocks that straddle the budget fall back to per-instruction
+    stepping through the closures, which is still exact).  Mid-block
+    entry — a restore landing between leaders, a JALR into a block
+    body, or resumption after a budget stop — steps the block tail per
+    instruction and rejoins fused execution at the next leader.
 
 The engine is process-wide switchable (``--no-block-engine`` /
 ``NVPSIM_NO_BLOCK_ENGINE=1``) and counts fused vs. stepped block
@@ -57,6 +64,7 @@ executions for ``--profile``.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Dict, List, Optional, Sequence
 
@@ -66,7 +74,6 @@ from repro.isa.instructions import (
     BRANCH_OPCODES,
     Instruction,
     Opcode,
-    to_signed,
 )
 
 __all__ = [
@@ -159,7 +166,13 @@ class _Block:
     cycles)`` per instruction, dense from ``start``); ``term`` is the
     compiled control-flow tail at ``limit - 1`` — ``(fn, time_s,
     energy_j, cycles, halts)`` with ``fn(regs, memory) -> next_pc`` —
-    or ``None`` for a pure fallthrough block.
+    or ``None`` for a pure fallthrough block.  Those per-instruction
+    tables serve the stepped tail and :meth:`BlockEngine.run_count`.
+
+    ``fused(regs, memory, tu, en, ce) -> (next_pc, tu, en, ce)`` runs
+    the whole block in one call: every instruction's statement followed
+    by its own literal ``tu``/``en``/``ce`` float adds.  ``cycles`` is
+    the block's cycle total and ``halts`` whether it ends in ``HALT``.
     """
 
     __slots__ = (
@@ -167,28 +180,41 @@ class _Block:
         "limit",
         "ops",
         "term",
+        "fused",
         "n_instructions",
+        "cycles",
+        "halts",
         "body_time_s",
         "guard_factor",
     )
 
-    def __init__(self, start: int, limit: int, ops, term) -> None:
+    def __init__(self, start: int, limit: int, ops, term, fused) -> None:
         self.start = start
         self.limit = limit
         self.ops = ops
         self.term = term
+        self.fused = fused
         self.n_instructions = len(ops) + (1 if term is not None else 0)
+        self.halts = term is not None and term[4]
         # Upper bound for the fused-budget guard: the largest partial
         # sum the scalar loop compares against the budget is the one
         # *before* the final instruction, but bounding the full-block
         # sum is simpler and only costs boundary ticks a per-op pass.
         total = 0.0
-        for _fn, t, _e, _c in ops:
+        cycles = 0
+        for _fn, t, _e, c in ops:
             total += t
+            cycles += c
         if term is not None:
             total += term[1]
+            cycles += term[3]
         self.body_time_s = total
+        self.cycles = cycles
         self.guard_factor = 1.0 + _GUARD_EPS * (self.n_instructions + 4)
+
+
+def _nop_fn(regs, memory) -> None:
+    return None
 
 
 def _reg_expr(index: int) -> str:
@@ -196,24 +222,23 @@ def _reg_expr(index: int) -> str:
     return "0" if index == 0 else f"regs[{index}]"
 
 
-def _compile_fn(source: str, name: str = "fn"):
-    """Exec a single-function source string and return the function."""
-    namespace: Dict[str, object] = {"ts": to_signed}
-    exec(compile(source, "<blockengine>", "exec"), namespace)
-    return namespace[name]
+def _signed_expr(expr: str) -> str:
+    """Source for ``to_signed(expr)``, inline.
+
+    ``((x & 0xFFFF) ^ 0x8000) - 0x8000`` equals ``to_signed(x)`` for
+    every int, including non-canonical (> 16-bit) restored registers.
+    """
+    return f"((({expr} & 0xFFFF) ^ 0x8000) - 0x8000)"
 
 
-def _nop_fn(regs, memory) -> None:
-    return None
-
-
-#: Value-expression templates for the ALU opcodes; ``{a}``/``{b}`` are
-#: register reads, immediates are folded by the caller.  Every write
-#: goes through ``& 0xFFFF`` (``_write_reg``), and signed views go
-#: through the same masked ``to_signed`` helper the interpreter uses —
-#: so even non-canonical restored register values (> 16 bits) produce
-#: identical results.
-_ALU_RR = {
+#: Value-expression templates for the register-writing ALU opcodes.
+#: ``{a}``/``{b}`` are register reads, ``{sa}``/``{sb}`` their signed
+#: views; ``{imm}`` is the raw immediate, ``{uimm}`` its 16-bit mask,
+#: ``{sh}`` the shift count and ``{lui}`` the ``LUI`` constant, all
+#: folded at compile time.  Every write then goes through ``& 0xFFFF``
+#: (``_write_reg``), so non-canonical register values produce the
+#: interpreter's results.
+_ALU = {
     Opcode.ADD: "({a} + {b})",
     Opcode.SUB: "({a} - {b})",
     Opcode.AND: "({a} & {b})",
@@ -221,150 +246,104 @@ _ALU_RR = {
     Opcode.XOR: "({a} ^ {b})",
     Opcode.SHL: "({a} << ({b} % 16))",
     Opcode.SHR: "({a} >> ({b} % 16))",
-    Opcode.SAR: "(ts({a}) >> ({b} % 16))",
+    Opcode.SAR: "({sa} >> ({b} % 16))",
     Opcode.MUL: "({a} * {b})",
     Opcode.MULH: "(({a} * {b}) >> 16)",
     Opcode.DIVU: "(0xFFFF if {b} == 0 else {a} // {b})",
     Opcode.REMU: "({a} if {b} == 0 else {a} % {b})",
-    Opcode.SLT: "(1 if ts({a}) < ts({b}) else 0)",
+    Opcode.SLT: "(1 if {sa} < {sb} else 0)",
     Opcode.SLTU: "(1 if {a} < {b} else 0)",
+    Opcode.ADDI: "({a} + {imm})",
+    Opcode.ANDI: "({a} & {uimm})",
+    Opcode.ORI: "({a} | {uimm})",
+    Opcode.XORI: "({a} ^ {uimm})",
+    Opcode.SHLI: "({a} << {sh})",
+    Opcode.SHRI: "({a} >> {sh})",
+    Opcode.SARI: "({sa} >> {sh})",
+    Opcode.SLTI: "(1 if {sa} < {imm} else 0)",
+    Opcode.SLTIU: "(1 if {a} < {uimm} else 0)",
+    Opcode.LUI: "{lui}",
 }
 
 _BRANCH_COND = {
     Opcode.BEQ: "{a} == {b}",
     Opcode.BNE: "{a} != {b}",
-    Opcode.BLT: "ts({a}) < ts({b})",
-    Opcode.BGE: "ts({a}) >= ts({b})",
+    Opcode.BLT: "{sa} < {sb}",
+    Opcode.BGE: "{sa} >= {sb}",
     Opcode.BLTU: "{a} < {b}",
     Opcode.BGEU: "{a} >= {b}",
 }
 
 
-def _compile_linear(instr: Instruction):
-    """Compile a non-control instruction to ``fn(regs, memory)``."""
+def _statement(pc: int, instr: Instruction) -> Optional[str]:
+    """Python source for one instruction's architectural effect.
+
+    The single source of truth both the per-instruction closures and
+    the fused block functions are built from.  Lines are unindented
+    and act on ``regs`` and ``memory``; a control instruction assigns
+    its next PC to ``npc``.  Returns ``None`` when there is nothing to
+    execute: ``NOP``, a pure ALU write to ``r0``, and ``HALT`` (the
+    run loop sets ``halted`` structurally).
+    """
     op = instr.opcode
     rd = instr.rd
+    imm = instr.imm
     a = _reg_expr(instr.rs1)
     b = _reg_expr(instr.rs2)
-    imm = instr.imm
-    if op in _ALU_RR:
+    operands = {"a": a, "b": b, "sa": _signed_expr(a), "sb": _signed_expr(b)}
+    if op in _ALU:
         if rd == 0:
             # DIVU/REMU by zero is architecturally defined (no trap),
             # so a discarded ALU result has no observable effect.
-            return _nop_fn
-        value = _ALU_RR[op].format(a=a, b=b)
-    elif op is Opcode.ADDI:
-        if rd == 0:
-            return _nop_fn
-        value = f"({a} + {imm})"
-    elif op is Opcode.ANDI:
-        if rd == 0:
-            return _nop_fn
-        value = f"({a} & {imm & 0xFFFF})"
-    elif op is Opcode.ORI:
-        if rd == 0:
-            return _nop_fn
-        value = f"({a} | {imm & 0xFFFF})"
-    elif op is Opcode.XORI:
-        if rd == 0:
-            return _nop_fn
-        value = f"({a} ^ {imm & 0xFFFF})"
-    elif op is Opcode.SHLI:
-        if rd == 0:
-            return _nop_fn
-        value = f"({a} << {imm % 16})"
-    elif op is Opcode.SHRI:
-        if rd == 0:
-            return _nop_fn
-        value = f"({a} >> {imm % 16})"
-    elif op is Opcode.SARI:
-        if rd == 0:
-            return _nop_fn
-        value = f"(ts({a}) >> {imm % 16})"
-    elif op is Opcode.SLTI:
-        if rd == 0:
-            return _nop_fn
-        value = f"(1 if ts({a}) < {imm} else 0)"
-    elif op is Opcode.SLTIU:
-        if rd == 0:
-            return _nop_fn
-        value = f"(1 if {a} < {imm & 0xFFFF} else 0)"
-    elif op is Opcode.LUI:
-        if rd == 0:
-            return _nop_fn
-        value = str((imm & 0xFF) << 8)
-    elif op is Opcode.LD:
-        address = f"({a} + {imm}) & 0xFFFF"
-        if rd == 0:
-            # The read still happens: region counters and the MMIO
-            # input-port pop are architectural side effects.
-            return _compile_fn(
-                f"def fn(regs, memory):\n    memory.read({address})\n"
-            )
-        return _compile_fn(
-            f"def fn(regs, memory):\n"
-            f"    regs[{rd}] = memory.read({address}) & 0xFFFF\n"
+            return None
+        value = _ALU[op].format(
+            imm=imm,
+            uimm=imm & 0xFFFF,
+            sh=imm % 16,
+            lui=(imm & 0xFF) << 8,
+            **operands,
         )
-    elif op is Opcode.ST:
-        address = f"({a} + {imm}) & 0xFFFF"
-        return _compile_fn(
-            f"def fn(regs, memory):\n    memory.write({address}, {b})\n"
-        )
-    elif op is Opcode.NOP:
-        return _nop_fn
-    else:  # pragma: no cover - control ops never reach here
-        raise ExecutionError(f"unimplemented opcode {op!r}")
-    return _compile_fn(
-        f"def fn(regs, memory):\n    regs[{rd}] = {value} & 0xFFFF\n"
-    )
-
-
-def _compile_terminator(pc: int, instr: Instruction):
-    """Compile a control instruction to ``fn(regs, memory) -> next_pc``."""
-    op = instr.opcode
-    fallthrough = pc + 1
-    a = _reg_expr(instr.rs1)
-    b = _reg_expr(instr.rs2)
-    imm = instr.imm
+        return f"regs[{rd}] = {value} & 0xFFFF"
+    if op is Opcode.LD:
+        read = f"memory.read(({a} + {imm}) & 0xFFFF)"
+        # With rd == r0 the read still happens: region counters and the
+        # MMIO input-port pop are architectural side effects.
+        return read if rd == 0 else f"regs[{rd}] = {read} & 0xFFFF"
+    if op is Opcode.ST:
+        return f"memory.write(({a} + {imm}) & 0xFFFF, {b})"
+    if op is Opcode.NOP or op is Opcode.HALT:
+        return None
+    link = (pc + 1) & 0xFFFF
     if op in BRANCH_OPCODES:
-        cond = _BRANCH_COND[op].format(a=a, b=b)
-        target = imm & 0xFFFF
-        return _compile_fn(
-            f"def fn(regs, memory):\n"
-            f"    return {target} if {cond} else {fallthrough}\n"
-        )
+        cond = _BRANCH_COND[op].format(**operands)
+        return f"npc = {imm & 0xFFFF} if {cond} else {pc + 1}"
     if op is Opcode.JAL:
-        link = fallthrough & 0xFFFF
-        target = imm & 0xFFFF
-        if instr.rd == 0:
-            return _compile_fn(
-                f"def fn(regs, memory):\n    return {target}\n"
-            )
-        return _compile_fn(
-            f"def fn(regs, memory):\n"
-            f"    regs[{instr.rd}] = {link}\n"
-            f"    return {target}\n"
-        )
+        jump = f"npc = {imm & 0xFFFF}"
+        return jump if rd == 0 else f"regs[{rd}] = {link}\n{jump}"
     if op is Opcode.JALR:
-        link = fallthrough & 0xFFFF
-        if instr.rd == 0:
-            return _compile_fn(
-                f"def fn(regs, memory):\n"
-                f"    return ({a} + {imm}) & 0xFFFF\n"
-            )
         # rs1 is read before the link write, matching ``_execute``'s
         # operand-fetch-then-dispatch order when rd == rs1.
-        return _compile_fn(
-            f"def fn(regs, memory):\n"
-            f"    target = ({a} + {imm}) & 0xFFFF\n"
-            f"    regs[{instr.rd}] = {link}\n"
-            f"    return target\n"
-        )
-    if op is Opcode.HALT:
-        # Handled structurally: the run loop sets ``halted`` and falls
-        # through to pc + 1, exactly as ``_execute`` does.
-        return None
+        jump = f"npc = ({a} + {imm}) & 0xFFFF"
+        return jump if rd == 0 else f"{jump}\nregs[{rd}] = {link}"
     raise ExecutionError(f"unimplemented opcode {op!r}")  # pragma: no cover
+
+
+def _indent(source: str) -> str:
+    return "".join(f"    {line}\n" for line in source.split("\n"))
+
+
+def _literal(value, constants: Dict[str, object]) -> str:
+    """Source for a per-instruction float that evaluates to ``value``.
+
+    A finite ``float`` is emitted as its ``repr``, which parses back to
+    the identical double; anything else (``inf``/``nan``, a numpy
+    scalar) is bound by name so no value is ever re-parsed from text.
+    """
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    name = f"_k{len(constants)}"
+    constants[name] = value
+    return name
 
 
 class BlockEngine:
@@ -390,14 +369,9 @@ class BlockEngine:
         energy_model: EnergyModel,
     ) -> None:
         self.n_instructions = len(program)
-        #: Recompile trigger: the operating point the tables were
-        #: classified against (``EnergyModel.scaled`` returns copies,
-        #: so in practice this never changes for a live workload).
-        self.model_signature = (
-            energy_model.frequency_hz,
-            energy_model.vdd,
-            energy_model.static_power_w,
-        )
+        #: Recompile trigger: the full signature of the model the
+        #: tables were classified against (frequency first).
+        self.model_signature = energy_model.signature()
         self.fused_blocks = 0
         self.stepped_blocks = 0
         self._blocks: List[_Block] = []
@@ -422,7 +396,6 @@ class BlockEngine:
                     if target < n:
                         leaders.add(target)
         starts = sorted(leaders)
-        cycle_time = model.cycle_time_s
         bounds = []
         for i, start in enumerate(starts):
             limit = starts[i + 1] if i + 1 < len(starts) else n
@@ -431,32 +404,64 @@ class BlockEngine:
                 bounds.append((start, start + MAX_BLOCK_LEN))
                 start += MAX_BLOCK_LEN
             bounds.append((start, limit))
+        cycle_time = model.cycle_time_s
+        costs = []
+        for instr in program:
+            cls = classify(instr)
+            cycles = model.instruction_cycles(cls)
+            costs.append(
+                (cycles * cycle_time, model.instruction_energy(cls), cycles)
+            )
+        statements = [_statement(pc, instr) for pc, instr in enumerate(program)]
+
+        # One module holds every per-instruction closure ``i<pc>`` and
+        # every fused block function ``b<start>``, all generated from
+        # the same statements and compiled by a single ``exec``.
+        constants: Dict[str, object] = {}
+        source = []
+        for pc, statement in enumerate(statements):
+            if statement is None:
+                continue
+            tail = (
+                "    return npc\n"
+                if program[pc].opcode in _CONTROL_OPCODES else ""
+            )
+            source.append(
+                f"def i{pc}(regs, memory):\n{_indent(statement)}{tail}"
+            )
         for start, limit in bounds:
-            last = program[limit - 1]
-            has_term = last.opcode in _CONTROL_OPCODES
-            ops = []
-            for pc in range(start, limit - 1 if has_term else limit):
-                instr = program[pc]
-                cls = classify(instr)
-                cycles = model.instruction_cycles(cls)
-                ops.append((
-                    _compile_linear(instr),
-                    cycles * cycle_time,
-                    model.instruction_energy(cls),
-                    cycles,
-                ))
+            lines = [f"def b{start}(regs, memory, tu, en, ce):\n"]
+            for pc in range(start, limit):
+                if statements[pc] is not None:
+                    lines.append(_indent(statements[pc]))
+                t = _literal(costs[pc][0], constants)
+                e = _literal(costs[pc][1], constants)
+                lines.append(f"    tu += {t}; en += {e}; ce += {e}\n")
+            last = program[limit - 1].opcode
+            jumps = last in _CONTROL_OPCODES and last is not Opcode.HALT
+            lines.append(f"    return {'npc' if jumps else limit}, tu, en, ce\n")
+            source.append("".join(lines))
+        namespace: Dict[str, object] = dict(constants)
+        exec(compile("\n".join(source), "<blockengine>", "exec"), namespace)
+
+        def closure(pc: int):
+            if statements[pc] is None:
+                return _nop_fn
+            return namespace[f"i{pc}"]
+
+        for start, limit in bounds:
+            last = program[limit - 1].opcode
+            has_term = last in _CONTROL_OPCODES
+            ops = [
+                (closure(pc),) + costs[pc]
+                for pc in range(start, limit - 1 if has_term else limit)
+            ]
             term = None
             if has_term:
-                cls = classify(last)
-                cycles = model.instruction_cycles(cls)
-                term = (
-                    _compile_terminator(limit - 1, last),
-                    cycles * cycle_time,
-                    model.instruction_energy(cls),
-                    cycles,
-                    last.opcode is Opcode.HALT,
+                term = (closure(limit - 1),) + costs[limit - 1] + (
+                    last is Opcode.HALT,
                 )
-            block = _Block(start, limit, ops, term)
+            block = _Block(start, limit, ops, term, namespace[f"b{start}"])
             self._blocks.append(block)
             self._block_at.extend([block] * (limit - start))
 
@@ -540,8 +545,6 @@ class BlockEngine:
                 )
                 break
             blk = block_at[pc]
-            ops = blk.ops
-            term = blk.term
             if (
                 pc == blk.start
                 and executed + blk.n_instructions <= cap_remaining
@@ -549,37 +552,24 @@ class BlockEngine:
                 < budget
             ):
                 # Fused: the guard proves every per-instruction budget
-                # compare would pass and the cap cannot trip, so only
-                # the architectural work and the (order-preserving)
-                # per-instruction accounting remain.
+                # compare would pass and the cap cannot trip, so one
+                # call runs the architectural work and the
+                # (order-preserving) per-instruction float adds.
                 fused += 1
-                for fn, t, e, c in ops:
-                    fn(regs, memory)
-                    time_used += t
-                    energy += e
-                    cpu_energy += e
-                    cycles += c
-                executed += len(ops)
-                if term is None:
-                    pc = blk.limit
-                    continue
-                tfn, t, e, c, halts = term
-                if halts:
-                    pc = blk.limit
+                pc, time_used, energy, cpu_energy = blk.fused(
+                    regs, memory, time_used, energy, cpu_energy
+                )
+                cycles += blk.cycles
+                executed += blk.n_instructions
+                if blk.halts:
                     halted = True
-                else:
-                    pc = tfn(regs, memory)
-                time_used += t
-                energy += e
-                cpu_energy += e
-                cycles += c
-                executed += 1
-                if halted:
                     break
                 continue
             # Per-instruction tail: mid-block entry or a block that
             # straddles the budget/cap boundary.
             stepped += 1
+            ops = blk.ops
+            term = blk.term
             i = pc - blk.start
             n_lin = len(ops)
             stop = False

@@ -160,6 +160,21 @@ class EnergyModel:
             raise ValueError("instruction mix has zero total time")
         return total_energy / total_time
 
+    def signature(self) -> tuple:
+        """Every field as one comparable tuple.
+
+        ``(frequency_hz, vdd, static_power_w, cycles, dynamic_energy_j)``
+        with both tables flattened in :class:`InstrClass` order: two
+        models with equal signatures charge every instruction alike.
+        """
+        return (
+            self.frequency_hz,
+            self.vdd,
+            self.static_power_w,
+            tuple(self.cycles.get(cls) for cls in InstrClass),
+            tuple(self.dynamic_energy_j.get(cls) for cls in InstrClass),
+        )
+
     def scaled(self, frequency_hz: float | None = None, vdd: float | None = None) -> "EnergyModel":
         """Return a copy with a different operating point."""
         return EnergyModel(

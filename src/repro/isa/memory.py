@@ -60,34 +60,41 @@ class MemoryMap:
             return "nvm"
         return "ram"
 
+    # ``read``/``write`` test the address ranges directly — RAM, NVM,
+    # the two ports, other MMIO — so a RAM access costs one chained
+    # compare; an out-of-range address falls through every test to the
+    # ``ValueError`` :meth:`region` raises.
+
     def read(self, address: int) -> int:
         """Read one 16-bit word."""
-        region = self.region(address)
-        if region == "mmio":
-            if address == INPUT_PORT:
-                return self.input_queue.pop(0) if self.input_queue else 0
-            return self._words[address]
-        if region == "nvm":
-            self.nvm_reads += 1
-        else:
+        if RAM_BASE <= address < NVM_BASE:
             self.ram_reads += 1
-        return self._words[address]
+            return self._words[address]
+        if NVM_BASE <= address < MMIO_BASE:
+            self.nvm_reads += 1
+            return self._words[address]
+        if address == INPUT_PORT:
+            queue = self.input_queue
+            return queue.pop(0) if queue else 0
+        if MMIO_BASE <= address < ADDRESS_SPACE:
+            return self._words[address]
+        raise ValueError(f"address {address:#x} outside 16-bit space")
 
     def write(self, address: int, value: int) -> None:
         """Write one 16-bit word (value truncated to 16 bits)."""
         value &= WORD_MASK
-        region = self.region(address)
-        if region == "mmio":
-            if address == OUTPUT_PORT:
-                self.output.append(value)
-            else:
-                self._words[address] = value
-            return
-        if region == "nvm":
-            self.nvm_writes += 1
-        else:
+        if RAM_BASE <= address < NVM_BASE:
             self.ram_writes += 1
-        self._words[address] = value
+            self._words[address] = value
+        elif NVM_BASE <= address < MMIO_BASE:
+            self.nvm_writes += 1
+            self._words[address] = value
+        elif address == OUTPUT_PORT:
+            self.output.append(value)
+        elif MMIO_BASE <= address < ADDRESS_SPACE:
+            self._words[address] = value
+        else:
+            raise ValueError(f"address {address:#x} outside 16-bit space")
 
     # -- bulk access used by the workload harness (not charged) ---------
 

@@ -320,6 +320,10 @@ class FunctionalWorkload(Workload):
         # its closures act only on the (regs, memory) passed per call).
         self._block_engine = None
         self._advance_bounds: Optional[tuple] = None
+        # Both caches above are keyed on the energy model's full
+        # signature, re-taken only when ``energy_model`` is replaced.
+        self._keyed_model: Optional[EnergyModel] = None
+        self._model_signature: Optional[tuple] = None
 
     def _fresh_cpu(self) -> CPU:
         cpu = CPU(self.program.instructions, MemoryMap(), self.energy_model)
@@ -329,15 +333,34 @@ class FunctionalWorkload(Workload):
             cpu.memory.load_image(self.data_images[frame])
         return cpu
 
+    def _check_model(self) -> None:
+        """Drop the model-derived caches if the energy model changed.
+
+        An identity check per call; only a replaced model object has its
+        :meth:`~repro.isa.energy.EnergyModel.signature` compared, and
+        only a changed signature (operating point, cycle or energy
+        table) clears the compiled engine and :meth:`advance_bounds`.
+        """
+        model = self.energy_model
+        if model is self._keyed_model:
+            return
+        self._keyed_model = model
+        signature = model.signature()
+        if signature != self._model_signature:
+            self._model_signature = signature
+            self._block_engine = None
+            self._advance_bounds = None
+
     def _engine(self):
         """The compiled block engine, or ``None`` when disabled."""
         if not blockengine.enabled():
             return None
+        self._check_model()
         engine = self._block_engine
-        model = self.energy_model
-        signature = (model.frequency_hz, model.vdd, model.static_power_w)
-        if engine is None or engine.model_signature != signature:
-            engine = blockengine.BlockEngine(self.program.instructions, model)
+        if engine is None:
+            engine = blockengine.BlockEngine(
+                self.program.instructions, self.energy_model
+            )
             self._block_engine = engine
         return engine
 
@@ -526,8 +549,9 @@ class FunctionalWorkload(Workload):
         the worst energy-per-second over the nine instruction classes,
         and the last instruction may overshoot the budget by at most
         ``max_time``).  All three are fixed properties of the energy
-        model, so they are computed once.
+        model, so they are computed once per model signature.
         """
+        self._check_model()
         bounds = self._advance_bounds
         if bounds is None:
             model = self.energy_model

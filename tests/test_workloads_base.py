@@ -199,6 +199,27 @@ class TestFunctionalWorkload:
         with pytest.raises(ValueError):
             FunctionalWorkload(build.program, total_units=0)
 
+    def test_advance_bounds_follow_a_replaced_model(self):
+        _, workload = self.make()
+        assert workload.advance_bounds()[0] == 1e-6
+        workload.energy_model = workload.energy_model.scaled(frequency_hz=2e6)
+        assert workload.advance_bounds()[0] == 5e-7
+
+    def test_engine_recompiled_when_cycle_table_changes(self):
+        _, workload = self.make()
+        first = workload._engine()
+        cycles = dict(workload.energy_model.cycles)
+        cycles[InstrClass.MUL] = 5
+        workload.energy_model = EnergyModel(cycles=cycles)
+        second = workload._engine()
+        assert second is not first
+        mul = [blk for blk in second._blocks
+               if any(c == 5 for _fn, _t, _e, c in blk.ops)]
+        assert mul, "MUL must be charged 5 cycles by the new engine"
+        # An equal model in a new object keeps the compiled engine.
+        workload.energy_model = EnergyModel(cycles=dict(cycles))
+        assert workload._engine() is second
+
 
 class TestSuiteHelpers:
     def test_measure_kernel_profile(self):
