@@ -23,6 +23,7 @@ from typing import Dict, Optional
 
 from repro.core.progress import ForwardProgressLedger
 from repro.nvm.technology import FERAM, NVMTechnology
+from repro.storage.capacitor import Capacitor
 from repro.system import exactkernel, fastpath
 from repro.system.fastpath import OffRunPlan
 from repro.system.simulator import TickReport
@@ -246,7 +247,7 @@ class CheckpointPlatform:
             self._state != "on"
             or self.workload.finished
             or not mode
-            or getattr(self.storage, "soa_params", None) is None
+            or not isinstance(self.storage, Capacitor)
         ):
             return None
         plan = self.thresholds(dt_s)

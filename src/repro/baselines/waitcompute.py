@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.progress import ForwardProgressLedger
+from repro.storage.capacitor import Capacitor
 from repro.system import exactkernel, fastpath
 from repro.system.fastpath import OffRunPlan
 from repro.system.simulator import TickReport
@@ -181,7 +182,7 @@ class WaitComputePlatform:
             # boundary needs the post-commit energy check to interleave
             # with execution tick by tick.
             or exactkernel.batchable_workload(self.workload) != "recurrence"
-            or getattr(self.storage, "soa_params", None) is None
+            or not isinstance(self.storage, Capacitor)
         ):
             return None
         ticks, _ = exactkernel.storage_run(

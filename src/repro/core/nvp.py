@@ -27,6 +27,7 @@ from repro.core.config import NVPConfig
 from repro.core.progress import ForwardProgressLedger
 from repro.obs import events as ev
 from repro.obs.events import EventBus
+from repro.storage.capacitor import Capacitor
 from repro.system import exactkernel, fastpath
 from repro.system.fastpath import OffRunPlan
 from repro.system.simulator import TickReport
@@ -314,7 +315,7 @@ class NVPPlatform:
             or self.governor is not None
             or (self.peripherals is not None and len(self.peripherals) > 0)
             or not mode
-            or getattr(self.storage, "soa_params", None) is None
+            or not isinstance(self.storage, Capacitor)
         ):
             return None
         if self.bus is not None:

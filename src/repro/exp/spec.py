@@ -27,6 +27,7 @@ import copy
 import hashlib
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -91,6 +92,34 @@ def _assign(config: Dict, key: str, value) -> None:
     target[parts[-1]] = value
 
 
+def _check_positive(config: Mapping, key: str) -> None:
+    """Reject ``config[key]`` unless it is a positive real number."""
+    value = config[key]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not value > 0
+    ):
+        raise ValueError(f"{key} must be a positive number, got {value!r}")
+
+
+def spec_object(data: Mapping, key: str) -> Dict:
+    """``data[key]`` as a dict; ``{}`` when absent or null.
+
+    Raises:
+        ValueError: naming ``key`` when the value is not an object.
+    """
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ValueError(
+            f"spec field {key!r} must be an object, "
+            f"not {type(value).__name__}"
+        )
+    return dict(value)
+
+
 def resolve_config(config: Mapping) -> Dict:
     """Merge ``config`` over the defaults and validate every key.
 
@@ -99,8 +128,9 @@ def resolve_config(config: Mapping) -> Dict:
     for hashing and for shipping to a worker process.
 
     Raises:
-        ValueError: unknown keys, unknown platform/source/kernel, or
-            malformed nested configs.
+        ValueError: unknown keys, unknown platform/source/kernel,
+            malformed nested configs, or a ``duration_s`` /
+            ``capacitance_f`` that is not a positive number.
     """
     merged: Dict = {k: (dict(v) if isinstance(v, dict) else v)
                     for k, v in CONFIG_DEFAULTS.items()}
@@ -127,8 +157,9 @@ def resolve_config(config: Mapping) -> Dict:
     bad = set(merged["nvp"]) - set(_nvp_field_names())
     if bad:
         raise ValueError(f"unknown NVPConfig key(s) {sorted(bad)}")
-    if merged["duration_s"] <= 0:
-        raise ValueError("duration_s must be positive")
+    _check_positive(merged, "duration_s")
+    if merged["capacitance_f"] is not None:
+        _check_positive(merged, "capacitance_f")
     if merged["stop_when_finished"] is None:
         merged["stop_when_finished"] = merged["kernel"] is not None
     return merged
@@ -255,8 +286,8 @@ class ExperimentSpec:
             raise ValueError("spec needs a name")
         return cls(
             name=data["name"],
-            axes=dict(data.get("axes", {})),
-            base=dict(data.get("base", {})),
+            axes=spec_object(data, "axes"),
+            base=spec_object(data, "base"),
             mode=data.get("mode", "grid"),
             description=data.get("description", ""),
         )

@@ -33,8 +33,9 @@ sub-trace (property-tested in ``tests/test_fastpath_equivalence.py``):
 * results are materialised through the shared
   :func:`repro.system.simulator.assemble_result`.
 
-Devices whose storage does not implement the SoA contract (or whose
-platform has no ``off_plan``) simply stay on the exact per-tick path —
+Devices whose storage is not a
+:class:`~repro.storage.capacitor.Capacitor` (or whose platform has no
+``off_plan``) simply stay on the exact per-tick path —
 correctness never depends on the vectorization being available.
 """
 
@@ -56,7 +57,7 @@ from repro.exp.runner import (
     build_trace,
     build_workload,
 )
-from repro.fleet.soa import FleetArrays, storage_soa_params
+from repro.fleet.soa import FleetArrays
 from repro.fleet.spec import (
     DEVICE_OFFSET_KEY,
     device_config_hash,
@@ -64,6 +65,7 @@ from repro.fleet.spec import (
 )
 from repro.obs import events as ev
 from repro.obs.resources import sample_resources, usage_between
+from repro.storage.capacitor import Capacitor
 from repro.system.presets import standard_rectifier
 from repro.system.simulator import (
     StateClock,
@@ -240,9 +242,9 @@ class FleetKernel:
             dev.storage = getattr(dev.platform, "storage", None)
             dev.off_plan_fn = getattr(dev.platform, "off_plan", None)
             dev.exact_batch_fn = getattr(dev.platform, "exact_batch", None)
-            dev.soa = storage_soa_params(dev.storage)
-            if dev.soa is not None:
-                self.arrays.set_params(row, dev.soa, dev.base)
+            dev.soa = isinstance(dev.storage, Capacitor)
+            if dev.soa:
+                self.arrays.set_params(row, dev.storage, dev.base)
             else:
                 self.arrays.base[row] = dev.base
             self.devices.append(dev)
@@ -257,7 +259,7 @@ class FleetKernel:
 
     def _route(self, dev: _FleetDevice) -> None:
         """Park the device on the vectorized path if it is dormant."""
-        if dev.soa is not None:
+        if dev.soa:
             if dev.platform.finished:
                 # Finished but still integrating the trace: a pure
                 # "done" charge run with an unreachable target.
@@ -376,7 +378,7 @@ class FleetKernel:
                     self._finalize(dev, i + 1)
                     continue
             if finished:
-                if dev.soa is not None:
+                if dev.soa:
                     self._route(dev)
                     continue
                 if dev.storage is None:
@@ -388,7 +390,7 @@ class FleetKernel:
                         dev.clock.add("done", remaining)
                     self._finalize(dev, dev.n_ticks)
                     continue
-            elif dev.soa is not None and dev.off_plan_fn is not None:
+            elif dev.soa and dev.off_plan_fn is not None:
                 plan = dev.off_plan_fn(dt)
                 if plan is not None:
                     dev.mode = MODE_PASSIVE

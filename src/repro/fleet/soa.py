@@ -23,10 +23,11 @@ Why this is exact and not merely close:
   the curve is flat) equals ``np.maximum(eta_floor, eta_peak *
   (1 - offset²))`` because correctly-rounded multiplication is
   monotone, so the parabola never exceeds its peak;
-* an :class:`~repro.storage.ideal.IdealStorage` runs through the same
-  chain with the identity parameters its ``soa_params`` supplies
-  (``C = 1``, flat ``eta = 1``, infinite leak resistance): every extra
-  op is an exact float identity (``x * 1.0``, ``x + 0.0``).
+* the parameters are the capacitor's own attributes, including the
+  one ``energy_max_j`` capacity every scalar path clips against.  An
+  :class:`~repro.storage.ideal.IdealStorage` is a capacitor with
+  identity parameters (``C = 1``, flat ``eta = 1``, infinite leak
+  resistance), so it runs through the same chain.
 
 Rows whose device is *not* currently dormant stay allocated but
 ``alive``-masked out: their target is ``inf`` (no spurious crossings),
@@ -41,37 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-#: Parameter keys every ``soa_params()`` implementation must supply.
-PARAM_KEYS = (
-    "capacitance_f",
-    "capacity_j",
-    "leak_ohm",
-    "min_current_a",
-    "eta_peak",
-    "eta_floor",
-    "v_opt_v",
-    "v_span_v",
-)
-
-
-def storage_soa_params(storage) -> Optional[dict]:
-    """The storage element's SoA parameters, or ``None`` if unsupported.
-
-    A storage class opts into batched advancement by exposing
-    ``soa_params`` / ``soa_state`` / ``soa_restore`` (see
-    :class:`repro.storage.capacitor.Capacitor`); anything else falls
-    back to exact per-tick execution in the kernel.
-    """
-    if storage is None:
-        return None
-    getter = getattr(storage, "soa_params", None)
-    if getter is None or not hasattr(storage, "soa_restore"):
-        return None
-    params = getter()
-    missing = [key for key in PARAM_KEYS if key not in params]
-    if missing:
-        raise ValueError(f"soa_params missing keys: {missing}")
-    return params
+from repro.storage.capacitor import Capacitor
 
 
 class FleetArrays:
@@ -94,8 +65,8 @@ class FleetArrays:
         self.n = n
         self.dt_s = dt_s
         # Benign defaults (C=1, flat eta=1, no leak, no min current,
-        # infinite capacity/target) keep dead and non-SoA rows NaN-free
-        # through the vector chain.
+        # infinite capacity/target) keep dead and non-capacitor rows
+        # NaN-free through the vector chain.
         self.energy = np.zeros(n)
         self.capacitance = np.ones(n)
         self.capacity = np.full(n, np.inf)
@@ -115,16 +86,17 @@ class FleetArrays:
 
     # -- per-row maintenance ----------------------------------------------
 
-    def set_params(self, row: int, params: dict, base: int) -> None:
+    def set_params(self, row: int, storage: Capacitor, base: int) -> None:
         """Install a device's storage parameters and trace base."""
-        self.capacitance[row] = params["capacitance_f"]
-        self.capacity[row] = params["capacity_j"]
-        self.leak_ohm[row] = params["leak_ohm"]
-        self.min_current[row] = params["min_current_a"]
-        self.eta_peak[row] = params["eta_peak"]
-        self.eta_floor[row] = params["eta_floor"]
-        self.v_opt[row] = params["v_opt_v"]
-        self.v_span[row] = params["v_span_v"]
+        curve = storage.efficiency
+        self.capacitance[row] = storage.capacitance_f
+        self.capacity[row] = storage.energy_max_j
+        self.leak_ohm[row] = storage.leak_resistance_ohm
+        self.min_current[row] = storage.min_charge_current_a
+        self.eta_peak[row] = curve.eta_peak
+        self.eta_floor[row] = curve.eta_floor
+        self.v_opt[row] = curve.v_opt_v
+        self.v_span[row] = curve.v_span_v
         self.base[row] = base
 
     def load_row(self, row: int, storage, target_j: float) -> None:

@@ -34,6 +34,7 @@ from repro.exp.spec import (
     check_axes,
     config_hash,
     resolve_config,
+    spec_object,
 )
 
 #: The one config key that exists only for fleet devices.
@@ -203,8 +204,8 @@ class FleetSpec:
             )
         return cls(
             name=data.get("name", ""),
-            axes=dict(data.get("axes") or {}),
-            base=dict(data.get("base") or {}),
+            axes=spec_object(data, "axes"),
+            base=spec_object(data, "base"),
             mode=data.get("mode", "grid"),
             replicas=int(data.get("replicas", 1)),
             stagger_s=float(data.get("stagger_s", 0.0)),

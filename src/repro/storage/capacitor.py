@@ -119,6 +119,10 @@ class Capacitor:
         self.leak_resistance_ohm = leak_resistance_ohm
         self.efficiency = efficiency
         self.min_charge_current_a = min_charge_current_a
+        #: Capacity at rated voltage, joules.  Computed once: every
+        #: charge path (``step``, ``charge_many``, the batch chain and
+        #: the fleet arrays) clips against this one value.
+        self.energy_max_j = 0.5 * capacitance_f * v_max_v * v_max_v
         self._energy_j = 0.5 * capacitance_f * v_initial_v * v_initial_v
         # Cumulative accounting.
         self.total_charged_j = 0.0
@@ -132,11 +136,6 @@ class Capacitor:
     def energy_j(self) -> float:
         """Stored energy, joules."""
         return self._energy_j
-
-    @property
-    def energy_max_j(self) -> float:
-        """Capacity at rated voltage."""
-        return 0.5 * self.capacitance_f * self.v_max_v * self.v_max_v
 
     @property
     def voltage_v(self) -> float:
@@ -251,7 +250,7 @@ class Capacitor:
         if dt_s <= 0:
             raise ValueError("dt must be positive")
         energy = self._energy_j
-        capacity = 0.5 * self.capacitance_f * self.v_max_v * self.v_max_v
+        capacity = self.energy_max_j
         capacitance = self.capacitance_f
         min_current = self.min_charge_current_a
         leak_ohm = self.leak_resistance_ohm
@@ -317,29 +316,66 @@ class Capacitor:
         self.total_wasted_j = total_wasted
         return index - start, crossed
 
-    # -- fleet struct-of-arrays contract -------------------------------------
+    def charge_leak_chain(self, dt_s: float):
+        """:meth:`step`'s charge→leak op chain, for one batch call.
 
-    def soa_params(self) -> dict:
-        """Scalar parameters for the fleet SoA charge kernel.
-
-        The vectorized kernel (:mod:`repro.fleet.soa`) evaluates the
-        same per-tick float chain as :meth:`charge_many` — sqrt, the
-        efficiency parabola, headroom clip, leak — elementwise across
-        many devices, so these must be exactly the values the scalar
-        loop hoists.  ``capacity_j`` in particular is the same
-        ``0.5 * C * v_max²`` product :meth:`charge_many` computes.
+        Hoists the parameters once and returns
+        ``step(energy, p_in) -> (energy', charged, leaked, wasted)``,
+        which charges with the voltage-dependent efficiency, clips at
+        the headroom and leaks — every IEEE-754 operation in
+        :meth:`step`'s order.  Charge and leak do not depend on the
+        load, so callers (:mod:`repro.system.exactkernel`) apply the
+        load draw to ``energy'`` themselves.
         """
+        capacitance = self.capacitance_f
+        capacity = self.energy_max_j
+        leak_ohm = self.leak_resistance_ohm
+        min_current = self.min_charge_current_a
         curve = self.efficiency
-        return {
-            "capacitance_f": self.capacitance_f,
-            "capacity_j": 0.5 * self.capacitance_f * self.v_max_v * self.v_max_v,
-            "leak_ohm": self.leak_resistance_ohm,
-            "min_current_a": self.min_charge_current_a,
-            "eta_peak": curve.eta_peak,
-            "eta_floor": curve.eta_floor,
-            "v_opt_v": curve.v_opt_v,
-            "v_span_v": curve.v_span_v,
-        }
+        eta_peak = curve.eta_peak
+        eta_floor = curve.eta_floor
+        v_opt = curve.v_opt_v
+        v_span = curve.v_span_v
+        # The same flat-curve hoist charge_many makes.
+        flat_eta = eta_peak if eta_floor == eta_peak else None
+        sqrt = math.sqrt
+
+        def step(energy: float, p_in: float):
+            wasted = 0.0
+            voltage = sqrt(2.0 * energy / capacitance)
+            input_energy = p_in * dt_s
+            if (
+                min_current > 0.0
+                and voltage > 0.0
+                and p_in < min_current * voltage
+            ) or input_energy == 0.0:
+                charged = 0.0
+                wasted += input_energy
+                new_energy = energy
+            else:
+                if flat_eta is not None:
+                    eta = flat_eta
+                else:
+                    offset = (voltage - v_opt) / v_span
+                    eta = eta_peak * (1.0 - offset * offset)
+                    if eta < eta_floor:
+                        eta = eta_floor
+                charged = input_energy * eta
+                wasted += input_energy - charged
+                headroom = capacity - energy
+                if charged > headroom:
+                    wasted += charged - headroom
+                    charged = headroom
+                new_energy = energy + charged
+            voltage = sqrt(2.0 * new_energy / capacitance)
+            leaked = voltage * voltage / leak_ohm * dt_s
+            if leaked > new_energy:
+                leaked = new_energy
+            return new_energy - leaked, charged, leaked, wasted
+
+        return step
+
+    # -- fleet struct-of-arrays state ----------------------------------------
 
     def soa_state(self):
         """``(energy, charged, leaked, wasted)`` for the fleet kernel."""

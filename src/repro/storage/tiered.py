@@ -95,8 +95,7 @@ class TieredStorage:
         headroom = self.primary.energy_max_j - self.primary.energy_j
         # Split income: what the primary can physically hold this tick
         # goes there; the remainder spills toward the reservoir.
-        income_j = p_in_w * dt_s
-        to_primary_w = min(p_in_w, headroom / dt_s if dt_s > 0 else 0.0)
+        to_primary_w = min(p_in_w, headroom / dt_s)
         spill_w = p_in_w - to_primary_w
 
         result = self.primary.step(to_primary_w, p_load_w, dt_s)
@@ -106,7 +105,6 @@ class TieredStorage:
                 spill_w * self.transfer_efficiency, 0.0, dt_s
             )
             self.total_spilled_j += spill_result.charged_j
-        del income_j
 
         # Refill during droughts.
         if (

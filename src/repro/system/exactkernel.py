@@ -43,11 +43,13 @@ order):
   stored-energy series cannot be time-vectorized without changing the
   float evaluation order.  Their batched path is a fused scalar loop
   replicating ``Capacitor.step``'s exact op chain (charge with
-  voltage-dependent efficiency, headroom clip, leak, load draw), with
-  the storage parameterized through the same ``soa_params()`` identity
-  contract the fleet kernel uses, so :class:`~repro.storage.ideal.IdealStorage`
-  runs through identity operations (``x * 1.0``, ``x - 0.0``) that
-  cannot change a bit.
+  voltage-dependent efficiency, headroom clip, leak, load draw).  The
+  charge→leak part is
+  :meth:`~repro.storage.capacitor.Capacitor.charge_leak_chain`, read
+  from the capacitor's own attributes; every batchable store is a
+  :class:`~repro.storage.capacitor.Capacitor` (an
+  :class:`~repro.storage.ideal.IdealStorage` is one with identity
+  parameters).
 
 Event ticks are detected on *candidate* values: the loop computes the
 tick's deltas into locals, and on a deficit (or a pre-tick threshold
@@ -57,8 +59,8 @@ from the identical platform state.
 
 Every entry point mutates the platform in place and reports the number
 of ticks consumed (0 when the first tick is already an event tick);
-the storage-backed ones share one charge→leak chain
-(:func:`_charge_leak_chain`).
+the storage-backed ones share the capacitor's charge→leak chain
+(:meth:`~repro.storage.capacitor.Capacitor.charge_leak_chain`).
 """
 
 from __future__ import annotations
@@ -106,69 +108,6 @@ def batchable_workload(workload) -> Optional[str]:
     dispatch on the mode string.
     """
     return getattr(workload, "supports_exact_batch", None)
-
-
-def _charge_leak_chain(storage, dt: float):
-    """``Capacitor.step``'s charge→leak op chain for one batch call.
-
-    Parameterized once from ``storage.soa_params()`` (the identity
-    contract the fleet kernel uses, so
-    :class:`~repro.storage.ideal.IdealStorage` runs through operations
-    that cannot change a bit).  The returned
-    ``step(energy, p_in) -> (energy', charged, leaked, wasted)`` charges
-    with the voltage-dependent efficiency, clips at the headroom and
-    leaks — every IEEE-754 operation in ``Capacitor.step``'s order.
-    Charge and leak do not depend on the load, so callers apply the
-    load draw to ``energy'`` themselves.
-    """
-    params = storage.soa_params()
-    capacitance = params["capacitance_f"]
-    capacity = params["capacity_j"]
-    leak_ohm = params["leak_ohm"]
-    min_current = params["min_current_a"]
-    eta_peak = params["eta_peak"]
-    eta_floor = params["eta_floor"]
-    v_opt = params["v_opt_v"]
-    v_span = params["v_span_v"]
-    # A flat curve is voltage-independent: max(eta, eta_peak *
-    # (1 - x**2)) == eta exactly (same hoist charge_many makes).
-    flat_eta = eta_peak if eta_floor == eta_peak else None
-    sqrt = math.sqrt
-
-    def step(energy: float, p_in: float):
-        wasted = 0.0
-        voltage = sqrt(2.0 * energy / capacitance)
-        input_energy = p_in * dt
-        if (
-            min_current > 0.0
-            and voltage > 0.0
-            and p_in < min_current * voltage
-        ) or input_energy == 0.0:
-            charged = 0.0
-            wasted += input_energy
-            new_energy = energy
-        else:
-            if flat_eta is not None:
-                eta = flat_eta
-            else:
-                offset = (voltage - v_opt) / v_span
-                eta = eta_peak * (1.0 - offset * offset)
-                if eta < eta_floor:
-                    eta = eta_floor
-            charged = input_energy * eta
-            wasted += input_energy - charged
-            headroom = capacity - energy
-            if charged > headroom:
-                wasted += charged - headroom
-                charged = headroom
-            new_energy = energy + charged
-        voltage = sqrt(2.0 * new_energy / capacitance)
-        leaked = voltage * voltage / leak_ohm * dt
-        if leaked > new_energy:
-            leaked = new_energy
-        return new_energy - leaked, charged, leaked, wasted
-
-    return step
 
 
 def oracle_run(platform, start: int, stop: int, dt_s: float) -> int:
@@ -265,7 +204,7 @@ def storage_run(
     """
     workload = platform.workload
     storage = platform.storage
-    charge_leak = _charge_leak_chain(storage, dt_s)
+    charge_leak = storage.charge_leak_chain(dt_s)
     energy, total_charged, total_leaked, total_wasted = storage.soa_state()
     total_delivered = storage.total_delivered_j
 
@@ -434,7 +373,7 @@ def isa_storage_run(
     """
     workload = platform.workload
     storage = platform.storage
-    charge_leak = _charge_leak_chain(storage, dt_s)
+    charge_leak = storage.charge_leak_chain(dt_s)
     energy, total_charged, total_leaked, total_wasted = storage.soa_state()
     total_delivered = storage.total_delivered_j
 

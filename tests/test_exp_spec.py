@@ -187,3 +187,15 @@ class TestSpecFiles:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown spec key"):
             ExperimentSpec.from_dict({"name": "x", "points": 4})
+
+    @pytest.mark.parametrize("data, field", [
+        ({"name": "x", "base": {"duration_s": "1"}}, "duration_s"),
+        ({"name": "x", "base": {"capacitance_f": "a"}}, "capacitance_f"),
+        ({"name": "x", "base": {"capacitance_f": -1.0}}, "capacitance_f"),
+        ({"name": "x", "axes": {"capacitance_f": [0.0]}}, "capacitance_f"),
+        ({"name": "x", "base": [["seed", 1]]}, "base"),
+        ({"name": "x", "axes": "platform"}, "axes"),
+    ])
+    def test_malformed_spec_names_the_field(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec.from_dict(data).expand()

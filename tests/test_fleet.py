@@ -103,39 +103,87 @@ class TestFleetSpec:
         b = [device_config_hash(d) for d in make_spec(replicas=2).devices()]
         assert a == b
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"base": {"duration_s": "0.2"}}, "duration_s"),
+        ({"base": {"capacitance_f": "a"}}, "capacitance_f"),
+        ({"base": {"capacitance_f": -1.0}}, "capacitance_f"),
+        ({"axes": {"capacitance_f": [1e-7, 0]}}, "capacitance_f"),
+        ({"base": ["duration_s"]}, "base"),
+        ({"axes": [["platform", ["nvp"]]]}, "axes"),
+    ])
+    def test_malformed_spec_names_the_field(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            make_spec(**overrides).devices()
+
+
+def _overfull_ideal():
+    """An ideal store one ulp over capacity after one rounding charge."""
+    store = IdealStorage(4.774212882981862e-06, initial_j=4.80769004891829e-07)
+    store.step(1.0, 0.0, 1e-4)
+    assert store.energy_j > store.capacity_j
+    return store
+
+
+def _random_powers():
+    powers = np.random.default_rng(5).uniform(0.0, 100e-6, size=200)
+    powers[50:60] = 0.0
+    return powers
+
 
 class TestSoAContract:
     def test_capacitor_roundtrip(self):
         cap = Capacitor(capacitance_f=47e-6, v_max_v=5.0)
         cap.step(5e-3, 0.0, 1e-4)
         state = cap.soa_state()
-        params = cap.soa_params()
-        assert params["capacitance_f"] == 47e-6
+        arrays = FleetArrays(1, 1e-4)
+        arrays.set_params(0, cap, base=0)
+        assert arrays.capacitance[0] == 47e-6
+        assert arrays.capacity[0] == cap.energy_max_j == 0.5 * 47e-6 * 5.0 * 5.0
         cap.soa_restore(*state)
         assert cap.soa_state() == state
 
     def test_ideal_storage_params_are_identity_chain(self):
         ideal = IdealStorage(capacity_j=1e-3)
-        params = ideal.soa_params()
-        assert params["capacitance_f"] == 1.0
-        assert params["eta_peak"] == params["eta_floor"] == 1.0
-        assert params["leak_ohm"] == float("inf")
+        assert isinstance(ideal, Capacitor)
+        assert ideal.capacitance_f == 1.0
+        assert ideal.efficiency.eta_peak == ideal.efficiency.eta_floor == 1.0
+        assert ideal.leak_resistance_ohm == float("inf")
+        assert ideal.min_charge_current_a == 0.0
+        assert ideal.energy_max_j == ideal.capacity_j == 1e-3
 
     def test_charge_tick_matches_charge_many(self):
-        """The vectorized step IS charge_many, elementwise."""
-        cap = Capacitor(capacitance_f=150e-9, v_max_v=3.3)
-        twin = Capacitor(capacitance_f=150e-9, v_max_v=3.3)
-        arrays = FleetArrays(1, 1e-4)
-        arrays.set_params(0, cap.soa_params(), base=0)
-        arrays.load_row(0, cap, target_j=float("inf"))
-        rng = np.random.default_rng(5)
-        powers = rng.uniform(0.0, 100e-6, size=200)
-        powers[50:60] = 0.0
-        for p in powers:
-            arrays.charge_tick(np.array([p]))
-            twin.charge_many(np.array([p]), 0, 1, 1e-4, float("inf"))
-        arrays.store_row(0, cap)
-        assert cap.soa_state() == twin.soa_state()
+        """step, charge_many, the batch chain and the vectorized step agree.
+
+        The second input is an ideal store rounding left one ulp over
+        capacity, fed zero-input ticks: every path must keep it there.
+        """
+        cases = [
+            (lambda: Capacitor(capacitance_f=150e-9, v_max_v=3.3),
+             _random_powers()),
+            (_overfull_ideal, np.zeros(20)),
+        ]
+        dt = 1e-4
+        for make, powers in cases:
+            stepped, many, chained, fleet = make(), make(), make(), make()
+            arrays = FleetArrays(1, dt)
+            arrays.set_params(0, fleet, base=0)
+            arrays.load_row(0, fleet, target_j=float("inf"))
+            chain = chained.charge_leak_chain(dt)
+            energy, charged, leaked, wasted = chained.soa_state()
+            for p in powers:
+                stepped.step(p, 0.0, dt)
+                many.charge_many(np.array([p]), 0, 1, dt, float("inf"))
+                energy, c, l, w = chain(energy, p)
+                charged += c
+                leaked += l
+                wasted += w
+                arrays.charge_tick(np.array([p]))
+            chained.soa_restore(energy, charged, leaked, wasted)
+            arrays.store_row(0, fleet)
+            assert (
+                stepped.soa_state() == many.soa_state()
+                == chained.soa_state() == fleet.soa_state()
+            )
 
 
 class TestRunFleet:
