@@ -17,6 +17,14 @@ event synthesis, PR 5) and stay within
 Each row splits ticks by phase: ``dormant_ticks`` were fast-forwarded,
 ``active_ticks`` executed (batched or scalar) while powered on.
 
+A second table covers the fixed cost every command pays before its
+first tick: the median fresh-interpreter ``import repro.cli`` time
+with the number of ``repro`` modules it loads, and the
+``wristwatch_trace`` build time with the chunked Ornstein–Uhlenbeck
+recurrence against the per-element loop it replaced, whose traces
+must be byte-identical (``trace_build_speedup`` is gated by
+``repro bench-report``).
+
 Environment knobs::
 
     NVPSIM_BENCH_PERF_DURATION   simulated seconds per trace (default 60)
@@ -51,10 +59,17 @@ Run standalone (CI perf-smoke does) with::
 from __future__ import annotations
 
 import os
+import statistics
+import subprocess
+import sys
 import time
+from unittest import mock
 
+import numpy as np
 from common import print_header, publish_metrics, publish_table
 
+import repro
+from repro.harvest import sources
 from repro.harvest.sources import square_trace, wristwatch_trace
 from repro.isa import blockengine
 from repro.obs import events as ev
@@ -152,6 +167,64 @@ def _timed_run(builder, workload_factory, trace, use_fast_forward,
     started = time.perf_counter()
     result = simulator.run()
     return result, time.perf_counter() - started, simulator
+
+
+#: Fresh interpreters timed for the start-up row (plus one untimed
+#: first import that writes the bytecode caches).
+STARTUP_SAMPLES = 5
+
+
+def _ou_per_element(n, dt_s, tau_s, sigma, rng, x0=0.0):
+    """The per-element loop ``sources._ou_process`` replaced."""
+    alpha = float(np.exp(-dt_s / tau_s))
+    noise_scale = sigma * float(np.sqrt(1.0 - alpha * alpha))
+    steps = rng.standard_normal(n) * noise_scale
+    x = np.empty(n)
+    value = x0
+    for i in range(n):
+        value = alpha * value + steps[i]
+        x[i] = value
+    return x
+
+
+def _cli_import():
+    """``(seconds, repro module count)`` of one fresh ``import repro.cli``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = ("import repro.cli, sys; print(sum(1 for m in sys.modules "
+            "if m.split('.')[0] == 'repro'))")
+    started = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        check=True, capture_output=True, text=True,
+    ).stdout
+    return time.perf_counter() - started, int(out.split()[-1])
+
+
+def _trace_build(ou=None):
+    """``(seconds, trace bytes)`` of ``wristwatch_trace``, optionally
+    built with another Ornstein–Uhlenbeck recurrence."""
+    with mock.patch.object(sources, "_ou_process", ou or sources._ou_process):
+        started = time.perf_counter()
+        trace = wristwatch_trace(PERF_DURATION_S, seed=PERF_SEED)
+        return time.perf_counter() - started, trace.samples_w.tobytes()
+
+
+def run_startup():
+    """The start-up row: CLI import and trace build, before vs after."""
+    _cli_import()
+    imports = [_cli_import() for _ in range(STARTUP_SAMPLES)]
+    loop = [_trace_build(_ou_per_element) for _ in range(3)]
+    chunked = [_trace_build() for _ in range(3)]
+    loop_s = statistics.median(t for t, _ in loop)
+    chunked_s = statistics.median(t for t, _ in chunked)
+    return {
+        "import_cli_s": statistics.median(t for t, _ in imports),
+        "repro_modules": imports[-1][1],
+        "trace_loop_s": loop_s,
+        "trace_chunked_s": chunked_s,
+        "trace_build_speedup": loop_s / chunked_s,
+        "identical": len({data for _, data in loop + chunked}) == 1,
+    }
 
 
 def run_presets():
@@ -291,7 +364,7 @@ def check_rows(rows):
             )
 
 
-def publish(rows):
+def publish(rows, startup):
     print_header(
         "BENCH_core",
         f"core tick engine: bulk engines vs exact "
@@ -360,24 +433,51 @@ def publish(rows):
     metrics["throughput_ticks_per_s"] = (
         total_ticks / total_fast_s if total_fast_s > 0 else 0.0
     )
+    publish_table(
+        ["import repro.cli s", "repro modules", "trace loop s",
+         "trace chunked s", "trace x", "identical"],
+        [[
+            f"{startup['import_cli_s']:.3f}",
+            startup["repro_modules"],
+            f"{startup['trace_loop_s']:.3f}",
+            f"{startup['trace_chunked_s']:.3f}",
+            f"{startup['trace_build_speedup']:.2f}x",
+            startup["identical"],
+        ]],
+        title=f"start-up: fresh CLI import (median of {STARTUP_SAMPLES}) "
+              f"and wristwatch_trace({PERF_DURATION_S:g} s) build",
+    )
+    for name in ("import_cli_s", "repro_modules", "trace_loop_s",
+                 "trace_chunked_s", "trace_build_speedup"):
+        metrics[f"startup.{name}"] = startup[name]
     publish_metrics(metrics)
+
+
+def check_startup(startup):
+    assert startup["identical"], (
+        "chunked Ornstein-Uhlenbeck trace differs from the per-element loop"
+    )
 
 
 def test_perf_core(benchmark):
     rows = benchmark.pedantic(run_presets, rounds=1, iterations=1)
-    publish(rows)
+    startup = run_startup()
+    publish(rows, startup)
     for row in rows:
         if row["min_speedup"] is not None:
             benchmark.extra_info[f"{row['preset']}_speedup"] = round(
                 row["speedup"], 2
             )
     check_rows(rows)
+    check_startup(startup)
 
 
 def main() -> int:
     rows = run_presets()
-    publish(rows)
+    startup = run_startup()
+    publish(rows, startup)
     check_rows(rows)
+    check_startup(startup)
     print("\nBENCH_core: all presets bit-identical, speedup floors met")
     return 0
 

@@ -24,184 +24,91 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 reproduced experiment suite.
 """
 
-from repro.core import (
-    BackupController,
-    CompareAndWriteBackup,
-    ForwardProgressLedger,
-    FullBackup,
-    IncrementalWordBackup,
-    NVPConfig,
-    NVPPlatform,
-    WakeupModel,
-)
-from repro.baselines import (
-    CheckpointConfig,
-    CheckpointPlatform,
-    OraclePlatform,
-    WaitComputePlatform,
-)
-from repro.harvest import (
-    PowerTrace,
-    Rectifier,
-    analyze_outages,
-    combine_traces,
-    constant_trace,
-    hybrid_trace,
-    rf_trace,
-    solar_trace,
-    square_trace,
-    standard_profiles,
-    thermal_trace,
-    wristwatch_trace,
-)
-from repro.exp import (
-    ExperimentSpec,
-    ResultCache,
-    RunRecord,
-    SweepOutcome,
-    SweepRunner,
-)
-from repro.isa.energy import EnergyModel, dvfs_model
-from repro.policy import (
-    ConfigMatcher,
-    EnergyBandGovernor,
-    PowerAwareFrequencyPolicy,
-)
-from repro.storage.frontend import DualChannelFrontEnd, SingleChannelFrontEnd
-from repro.system.peripherals import (
-    ADC_10BIT,
-    IMAGE_SENSOR,
-    Peripheral,
-    PeripheralSet,
-    RADIO_TRX,
-)
-from repro.nvm import (
-    FERAM,
-    LinearPolicy,
-    LogPolicy,
-    NVMArray,
-    NVMTechnology,
-    ParabolaPolicy,
-    RERAM,
-    STT_MRAM,
-    TECHNOLOGIES,
-    UniformPolicy,
-    technology_by_name,
-)
-from repro.storage import Capacitor, ChargeEfficiency, IdealStorage, TieredStorage
-from repro.system import (
-    PeriodicTask,
-    ScheduleReport,
-    SimulationResult,
-    SystemSimulator,
-    Telemetry,
-    plan_thresholds,
-    schedule_replay,
-)
-from repro.system.presets import (
-    build_checkpoint,
-    build_nvp,
-    build_oracle,
-    build_wait_compute,
-    checkpoint_capacitor,
-    nvp_capacitor,
-    standard_rectifier,
-    supercap,
-)
-from repro.workloads import AbstractWorkload, FunctionalWorkload, Workload
-from repro.workloads.suite import (
-    KERNELS,
-    abstract_twin,
-    build_kernel,
-    expected_stream,
-    make_functional_workload,
-    measure_kernel,
-)
-from repro.quality import mse, psnr
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ADC_10BIT",
-    "AbstractWorkload",
-    "BackupController",
-    "ConfigMatcher",
-    "DualChannelFrontEnd",
-    "EnergyBandGovernor",
-    "EnergyModel",
-    "ExperimentSpec",
-    "ResultCache",
-    "RunRecord",
-    "SweepOutcome",
-    "SweepRunner",
-    "IMAGE_SENSOR",
-    "Peripheral",
-    "PeripheralSet",
-    "PeriodicTask",
-    "PowerAwareFrequencyPolicy",
-    "RADIO_TRX",
-    "ScheduleReport",
-    "SingleChannelFrontEnd",
-    "Telemetry",
-    "TieredStorage",
-    "schedule_replay",
-    "combine_traces",
-    "dvfs_model",
-    "hybrid_trace",
-    "Capacitor",
-    "ChargeEfficiency",
-    "CheckpointConfig",
-    "CheckpointPlatform",
-    "CompareAndWriteBackup",
-    "FERAM",
-    "ForwardProgressLedger",
-    "FullBackup",
-    "FunctionalWorkload",
-    "IdealStorage",
-    "IncrementalWordBackup",
-    "KERNELS",
-    "LinearPolicy",
-    "LogPolicy",
-    "NVMArray",
-    "NVMTechnology",
-    "NVPConfig",
-    "NVPPlatform",
-    "OraclePlatform",
-    "ParabolaPolicy",
-    "PowerTrace",
-    "RERAM",
-    "Rectifier",
-    "STT_MRAM",
-    "SimulationResult",
-    "SystemSimulator",
-    "TECHNOLOGIES",
-    "UniformPolicy",
-    "WaitComputePlatform",
-    "WakeupModel",
-    "Workload",
-    "abstract_twin",
-    "analyze_outages",
-    "build_checkpoint",
-    "build_kernel",
-    "build_nvp",
-    "build_oracle",
-    "build_wait_compute",
-    "checkpoint_capacitor",
-    "constant_trace",
-    "expected_stream",
-    "make_functional_workload",
-    "measure_kernel",
-    "mse",
-    "nvp_capacitor",
-    "plan_thresholds",
-    "psnr",
-    "rf_trace",
-    "solar_trace",
-    "square_trace",
-    "standard_profiles",
-    "standard_rectifier",
-    "supercap",
-    "technology_by_name",
-    "thermal_trace",
-    "wristwatch_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "CheckpointConfig": ".baselines.checkpoint",
+    "CheckpointPlatform": ".baselines.checkpoint",
+    "OraclePlatform": ".baselines.oracle",
+    "WaitComputePlatform": ".baselines.waitcompute",
+    "BackupController": ".core.backup",
+    "CompareAndWriteBackup": ".core.backup",
+    "FullBackup": ".core.backup",
+    "IncrementalWordBackup": ".core.backup",
+    "NVPConfig": ".core.config",
+    "NVPPlatform": ".core.nvp",
+    "ForwardProgressLedger": ".core.progress",
+    "WakeupModel": ".core.restore",
+    "ResultCache": ".exp.cache",
+    "RunRecord": ".exp.runner",
+    "SweepOutcome": ".exp.runner",
+    "SweepRunner": ".exp.runner",
+    "ExperimentSpec": ".exp.spec",
+    "analyze_outages": ".harvest.outage",
+    "Rectifier": ".harvest.rectifier",
+    "combine_traces": ".harvest.sources",
+    "constant_trace": ".harvest.sources",
+    "hybrid_trace": ".harvest.sources",
+    "rf_trace": ".harvest.sources",
+    "solar_trace": ".harvest.sources",
+    "square_trace": ".harvest.sources",
+    "standard_profiles": ".harvest.sources",
+    "thermal_trace": ".harvest.sources",
+    "wristwatch_trace": ".harvest.sources",
+    "PowerTrace": ".harvest.traces",
+    "dvfs_model": ".isa.energy",
+    "EnergyModel": ".isa.energy",
+    "NVMArray": ".nvm.array",
+    "LinearPolicy": ".nvm.retention",
+    "LogPolicy": ".nvm.retention",
+    "ParabolaPolicy": ".nvm.retention",
+    "UniformPolicy": ".nvm.retention",
+    "FERAM": ".nvm.technology",
+    "NVMTechnology": ".nvm.technology",
+    "RERAM": ".nvm.technology",
+    "STT_MRAM": ".nvm.technology",
+    "TECHNOLOGIES": ".nvm.technology",
+    "technology_by_name": ".nvm.technology",
+    "EnergyBandGovernor": ".policy.dpm",
+    "PowerAwareFrequencyPolicy": ".policy.freqscale",
+    "ConfigMatcher": ".policy.mlmatch",
+    "mse": ".quality.metrics",
+    "psnr": ".quality.metrics",
+    "Capacitor": ".storage.capacitor",
+    "ChargeEfficiency": ".storage.capacitor",
+    "DualChannelFrontEnd": ".storage.frontend",
+    "SingleChannelFrontEnd": ".storage.frontend",
+    "IdealStorage": ".storage.ideal",
+    "TieredStorage": ".storage.tiered",
+    "ADC_10BIT": ".system.peripherals",
+    "IMAGE_SENSOR": ".system.peripherals",
+    "Peripheral": ".system.peripherals",
+    "PeripheralSet": ".system.peripherals",
+    "RADIO_TRX": ".system.peripherals",
+    "build_checkpoint": ".system.presets",
+    "build_nvp": ".system.presets",
+    "build_oracle": ".system.presets",
+    "build_wait_compute": ".system.presets",
+    "checkpoint_capacitor": ".system.presets",
+    "nvp_capacitor": ".system.presets",
+    "standard_rectifier": ".system.presets",
+    "supercap": ".system.presets",
+    "SimulationResult": ".system.result",
+    "PeriodicTask": ".system.scheduler",
+    "schedule_replay": ".system.scheduler",
+    "ScheduleReport": ".system.scheduler",
+    "SystemSimulator": ".system.simulator",
+    "Telemetry": ".system.telemetry",
+    "plan_thresholds": ".system.thresholds",
+    "AbstractWorkload": ".workloads.base",
+    "FunctionalWorkload": ".workloads.base",
+    "Workload": ".workloads.base",
+    "abstract_twin": ".workloads.suite",
+    "build_kernel": ".workloads.suite",
+    "expected_stream": ".workloads.suite",
+    "KERNELS": ".workloads.suite",
+    "make_functional_workload": ".workloads.suite",
+    "measure_kernel": ".workloads.suite",
+})

@@ -1,13 +1,12 @@
 """Analysis helpers: result tables and instruction profiles."""
 
-from repro.analysis.report import format_table, ratio, series_text
-from repro.analysis.profiler import Profile, ProfileEntry, profile_program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Profile",
-    "ProfileEntry",
-    "format_table",
-    "profile_program",
-    "ratio",
-    "series_text",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "Profile": ".profiler",
+    "profile_program": ".profiler",
+    "ProfileEntry": ".profiler",
+    "format_table": ".report",
+    "ratio": ".report",
+    "series_text": ".report",
+})

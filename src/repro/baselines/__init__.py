@@ -15,13 +15,11 @@ ways of computing on harvested power:
   at the trace's mean power — the upper bound used for normalisation.
 """
 
-from repro.baselines.waitcompute import WaitComputePlatform
-from repro.baselines.checkpoint import CheckpointConfig, CheckpointPlatform
-from repro.baselines.oracle import OraclePlatform
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CheckpointConfig",
-    "CheckpointPlatform",
-    "OraclePlatform",
-    "WaitComputePlatform",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "CheckpointConfig": ".checkpoint",
+    "CheckpointPlatform": ".checkpoint",
+    "OraclePlatform": ".oracle",
+    "WaitComputePlatform": ".waitcompute",
+})

@@ -32,12 +32,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis.report import format_table
 from repro.core.config import DEFAULT_STATE_BITS
 from repro.harvest.outage import DEFAULT_THRESHOLD_W, analyze_outages
 from repro.harvest.sources import SOURCE_GENERATORS, hybrid_trace
 from repro.nvm.technology import TECHNOLOGIES
-from repro.obs.history import DEFAULT_HISTORY_PATH, DEFAULT_MAX_REGRESSION
 from repro.system.presets import (
     build_checkpoint,
     build_nvp,
@@ -323,6 +321,7 @@ def cmd_observe(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.analysis.report import format_table
     from repro.exp import SweepInterrupted, SweepRunner
     from repro.obs.ledger import OUTCOME_INTERRUPTED, sweep_record
 
@@ -789,6 +788,8 @@ def cmd_runs_list(args) -> int:
     """Tabulate (or dump) matching ledger records, oldest first."""
     import json
 
+    from repro.analysis.report import format_table
+
     ledger = _runs_ledger(args)
     records = ledger.records(
         command=args.command_filter,
@@ -843,6 +844,8 @@ def _find_record(ledger, id_prefix: str):
 def cmd_runs_show(args) -> int:
     """Render one ledger record in full."""
     import json
+
+    from repro.analysis.report import format_table
 
     ledger = _runs_ledger(args)
     record = _find_record(ledger, args.id)
@@ -1042,6 +1045,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_techs(args) -> int:
+    from repro.analysis.report import format_table
+
     del args
     rows = []
     for tech in TECHNOLOGIES:
@@ -1088,6 +1093,10 @@ def _add_export_arguments(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The bench-report defaults: imported here, not at module level, so
+    # ``import repro.cli`` stays on the simulate path.
+    from repro.obs.history import DEFAULT_HISTORY_PATH, DEFAULT_MAX_REGRESSION
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="nvpsim: nonvolatile-processor simulation framework",

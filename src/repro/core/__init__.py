@@ -14,31 +14,19 @@ This package provides:
   driven by :class:`~repro.system.simulator.SystemSimulator`.
 """
 
-from repro.core.config import NVPConfig
-from repro.core.progress import ForwardProgressLedger
-from repro.core.backup import (
-    BackupController,
-    BackupResult,
-    BackupStrategy,
-    CompareAndWriteBackup,
-    FullBackup,
-    IncrementalWordBackup,
-    strategy_by_name,
-)
-from repro.core.restore import RestoreResult, WakeupModel
-from repro.core.nvp import NVPPlatform
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackupController",
-    "BackupResult",
-    "BackupStrategy",
-    "CompareAndWriteBackup",
-    "ForwardProgressLedger",
-    "FullBackup",
-    "IncrementalWordBackup",
-    "NVPConfig",
-    "NVPPlatform",
-    "RestoreResult",
-    "WakeupModel",
-    "strategy_by_name",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "BackupController": ".backup",
+    "BackupResult": ".backup",
+    "BackupStrategy": ".backup",
+    "CompareAndWriteBackup": ".backup",
+    "FullBackup": ".backup",
+    "IncrementalWordBackup": ".backup",
+    "strategy_by_name": ".backup",
+    "NVPConfig": ".config",
+    "NVPPlatform": ".nvp",
+    "ForwardProgressLedger": ".progress",
+    "RestoreResult": ".restore",
+    "WakeupModel": ".restore",
+})

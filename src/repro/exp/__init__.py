@@ -32,46 +32,23 @@ Quick start::
 or, from the shell: ``python -m repro sweep spec.json --jobs 4``.
 """
 
-from repro.exp.cache import (
-    CACHE_DIR_ENV,
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    default_cache_dir,
-)
-from repro.exp.report import (
-    outcome_payload,
-    outcome_table,
-    render_outcome,
-    write_results,
-)
-from repro.exp.runner import (
-    RunRecord,
-    SweepInterrupted,
-    SweepOutcome,
-    SweepRunner,
-    execute_run,
-)
-from repro.exp.spec import (
-    ExperimentSpec,
-    config_hash,
-    resolve_config,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "DEFAULT_CACHE_DIR",
-    "ExperimentSpec",
-    "ResultCache",
-    "RunRecord",
-    "SweepInterrupted",
-    "SweepOutcome",
-    "SweepRunner",
-    "config_hash",
-    "default_cache_dir",
-    "execute_run",
-    "outcome_payload",
-    "outcome_table",
-    "render_outcome",
-    "resolve_config",
-    "write_results",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "CACHE_DIR_ENV": ".cache",
+    "DEFAULT_CACHE_DIR": ".cache",
+    "default_cache_dir": ".cache",
+    "ResultCache": ".cache",
+    "outcome_payload": ".report",
+    "outcome_table": ".report",
+    "render_outcome": ".report",
+    "write_results": ".report",
+    "execute_run": ".runner",
+    "RunRecord": ".runner",
+    "SweepInterrupted": ".runner",
+    "SweepOutcome": ".runner",
+    "SweepRunner": ".runner",
+    "config_hash": ".spec",
+    "ExperimentSpec": ".spec",
+    "resolve_config": ".spec",
+})

@@ -3,11 +3,12 @@
 Every simulation result is stored under
 ``<root>/<code_version>/<config_hash>.json`` — the config hash
 identifies *what* ran (every knob of the resolved run config) and the
-code-version directory pins *which code* ran it, so upgrading the
-package never serves stale physics.  Re-running a sweep therefore
-only executes new or changed points, and an interrupted sweep resumes
-for free: every point that completed before the interruption is a
-cache hit.
+code-version directory pins *which code* ran it: the package version
+plus a hash of the model sources (:func:`code_version`), so editing
+the physics never serves results the old code computed.  Re-running
+a sweep therefore only executes new or changed points, and an
+interrupted sweep resumes for free: every point that completed before
+the interruption is a cache hit.
 
 The root directory defaults to ``.repro-cache`` in the working
 directory and can be moved with the ``REPRO_CACHE_DIR`` environment
@@ -18,6 +19,9 @@ miss.
 
 from __future__ import annotations
 
+import functools
+import glob
+import hashlib
 import json
 import os
 import tempfile
@@ -36,11 +40,39 @@ def default_cache_dir() -> str:
     return os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
 
 
-def code_version() -> str:
-    """The version string namespacing cache entries."""
+#: Subpackages whose sources decide simulation results; the code
+#: version hashes them (reporting, caching and the CLI are left out).
+MODEL_PACKAGES = (
+    "system", "core", "storage", "harvest", "nvm", "isa", "workloads",
+    "baselines", "policy", "lang",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def code_version(package_dir: Optional[str] = None) -> str:
+    """``<__version__>+<12 hex>``: the namespace of cache entries.
+
+    The hex part is a SHA-256 over the sorted relative paths and bytes
+    of every ``*.py`` file under :data:`MODEL_PACKAGES` of
+    ``package_dir`` (default: the installed ``repro`` package), so any
+    edit to the model code moves results to a fresh namespace.  It is
+    computed once per process and directory.
+    """
     import repro
 
-    return getattr(repro, "__version__", "unversioned")
+    root = package_dir or os.path.dirname(os.path.abspath(repro.__file__))
+    paths = sorted(
+        os.path.relpath(path, root).replace(os.sep, "/")
+        for package in MODEL_PACKAGES
+        for path in glob.glob(
+            os.path.join(root, package, "**", "*.py"), recursive=True
+        )
+    )
+    digest = hashlib.sha256()
+    for path in paths:
+        with open(os.path.join(root, path), "rb") as handle:
+            digest.update(f"{path}\0".encode() + handle.read() + b"\0")
+    return f"{repro.__version__}+{digest.hexdigest()[:12]}"
 
 
 class ResultCache:
@@ -50,8 +82,8 @@ class ResultCache:
         root: cache root directory; ``None`` uses
             :func:`default_cache_dir` (which honours
             ``REPRO_CACHE_DIR``).
-        version: code-version namespace; ``None`` uses the installed
-            package version.
+        version: code-version namespace; ``None`` uses
+            :func:`code_version`.
         tracer: optional :class:`~repro.obs.spans.SpanTracer`; when
             set, every :meth:`get` / :meth:`put` records a span with
             hit attribution (the cache-hit timeline in

@@ -17,17 +17,53 @@ thing crossing the process boundary is JSON-able data.
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+# The point-execution stack is imported here, not inside the functions
+# that use it: forked pool workers inherit what the parent imported, so
+# no worker re-imports the simulator for every sweep.
+from repro.core.config import NVPConfig
 from repro.exp.cache import ResultCache
 from repro.exp.spec import config_hash, resolve_config
+from repro.harvest.sources import (
+    SOURCE_GENERATORS,
+    constant_trace,
+    hybrid_trace,
+    standard_profiles,
+)
+from repro.nvm.retention import (
+    LinearPolicy,
+    LogPolicy,
+    ParabolaPolicy,
+    UniformPolicy,
+)
+from repro.nvm.technology import technology_by_name
 from repro.obs import events as ev
 from repro.obs.events import EventBus
+from repro.obs.resources import (
+    aggregate_usage,
+    sample_resources,
+    usage_between,
+)
+from repro.system.presets import (
+    CHECKPOINT_CAPACITANCE_F,
+    NVP_CAPACITANCE_F,
+    SUPERCAP_CAPACITANCE_F,
+    build_checkpoint,
+    build_nvp,
+    build_oracle,
+    build_wait_compute,
+    standard_rectifier,
+)
 from repro.system.result import SimulationResult
+from repro.system.simulator import SystemSimulator
+from repro.workloads.base import AbstractWorkload
+from repro.workloads.suite import build_kernel, make_functional_workload
 
 #: Record statuses.
 STATUS_OK = "ok"
@@ -55,13 +91,6 @@ class SweepInterrupted(KeyboardInterrupt):
 
 def build_trace(config: Dict):
     """Synthesise the power trace a resolved config describes."""
-    from repro.harvest.sources import (
-        SOURCE_GENERATORS,
-        constant_trace,
-        hybrid_trace,
-        standard_profiles,
-    )
-
     source = config["source"]
     duration = config["duration_s"]
     seed = config["seed"]
@@ -89,9 +118,6 @@ def build_trace(config: Dict):
 
 def build_workload(config: Dict):
     """The workload a resolved config describes."""
-    from repro.workloads.base import AbstractWorkload
-    from repro.workloads.suite import build_kernel, make_functional_workload
-
     if config["kernel"]:
         build = build_kernel(config["kernel"])
         return make_functional_workload(build, frames=config["frames"])
@@ -100,15 +126,6 @@ def build_workload(config: Dict):
 
 def _build_nvp_config(overrides: Dict):
     """NVPConfig from the JSON-able ``nvp`` sub-config."""
-    from repro.core.config import NVPConfig
-    from repro.nvm.retention import (
-        LinearPolicy,
-        LogPolicy,
-        ParabolaPolicy,
-        UniformPolicy,
-    )
-    from repro.nvm.technology import technology_by_name
-
     kwargs = dict(overrides)
     if isinstance(kwargs.get("technology"), str):
         kwargs["technology"] = technology_by_name(kwargs["technology"])
@@ -135,16 +152,6 @@ def _build_nvp_config(overrides: Dict):
 
 def build_platform(config: Dict, workload):
     """The platform preset a resolved config describes."""
-    from repro.system.presets import (
-        CHECKPOINT_CAPACITANCE_F,
-        NVP_CAPACITANCE_F,
-        SUPERCAP_CAPACITANCE_F,
-        build_checkpoint,
-        build_nvp,
-        build_oracle,
-        build_wait_compute,
-    )
-
     name = config["platform"]
     capacitance = config["capacitance_f"]
     if name == "nvp":
@@ -193,12 +200,6 @@ def execute_run(config: Dict) -> Dict:
     result-collection path.  Exceptions propagate to the caller (the
     runner records them).
     """
-    import os
-
-    from repro.obs.resources import sample_resources, usage_between
-    from repro.system.presets import standard_rectifier
-    from repro.system.simulator import SystemSimulator
-
     label = config.get("label") or "?"
     usage_before = sample_resources()
     started = time.perf_counter()
@@ -326,8 +327,6 @@ class SweepOutcome:
     def resource_usage(self) -> Dict:
         """Aggregated worker resource usage (see
         :func:`repro.obs.resources.aggregate_usage`)."""
-        from repro.obs.resources import aggregate_usage
-
         return aggregate_usage(
             {
                 "cpu_s": record.cpu_s,

@@ -27,6 +27,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -92,14 +93,19 @@ def _assign(config: Dict, key: str, value) -> None:
     target[parts[-1]] = value
 
 
+def is_number(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Real)
+        and math.isfinite(value)
+    )
+
+
 def _check_positive(config: Mapping, key: str) -> None:
-    """Reject ``config[key]`` unless it is a positive real number."""
+    """Reject ``config[key]`` unless it is a finite positive number."""
     value = config[key]
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not value > 0
-    ):
+    if not is_number(value) or not value > 0:
         raise ValueError(f"{key} must be a positive number, got {value!r}")
 
 
@@ -118,6 +124,22 @@ def spec_object(data: Mapping, key: str) -> Dict:
             f"not {type(value).__name__}"
         )
     return dict(value)
+
+
+def spec_number(data: Mapping, key: str, default, kind=float):
+    """``data[key]`` as a ``kind`` number; ``default`` when absent or null.
+
+    Raises:
+        ValueError: naming ``key`` when the value is not a finite
+            number, or (for ``kind=int``) not a whole one.
+    """
+    value = data.get(key)
+    if value is None:
+        return default
+    if not is_number(value) or (kind is int and value != int(value)):
+        noun = "a whole number" if kind is int else "a number"
+        raise ValueError(f"spec field {key!r} must be {noun}, not {value!r}")
+    return kind(value)
 
 
 def resolve_config(config: Mapping) -> Dict:
@@ -230,8 +252,10 @@ class ExperimentSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("spec needs a name")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(
+                f"spec name must be a non-empty string, got {self.name!r}"
+            )
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; known: {MODES}")
         if self.mode == "ensemble" and "seed" not in self.axes:

@@ -11,48 +11,24 @@ identical to running the single-device engine on its sub-trace.
 See ``docs/fleet.md`` for the layout and equivalence guarantees.
 """
 
-from repro.fleet.kernel import (
-    FleetKernel,
-    PowerSegments,
-    build_power_segments,
-    replay_device,
-    run_fleet,
-)
-from repro.fleet.report import (
-    fleet_payload,
-    fleet_summary,
-    render_fleet_summary,
-    write_fleet_results,
-)
-from repro.fleet.soa import FleetArrays
-from repro.fleet.spec import (
-    DEVICE_OFFSET_KEY,
-    FleetSpec,
-    device_config_hash,
-    resolve_device_config,
-)
-from repro.fleet.telemetry import (
-    FleetTelemetry,
-    correlation_report,
-    render_correlation,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEVICE_OFFSET_KEY",
-    "FleetArrays",
-    "FleetKernel",
-    "FleetSpec",
-    "FleetTelemetry",
-    "PowerSegments",
-    "build_power_segments",
-    "correlation_report",
-    "device_config_hash",
-    "fleet_payload",
-    "fleet_summary",
-    "render_correlation",
-    "render_fleet_summary",
-    "replay_device",
-    "resolve_device_config",
-    "run_fleet",
-    "write_fleet_results",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "build_power_segments": ".kernel",
+    "FleetKernel": ".kernel",
+    "PowerSegments": ".kernel",
+    "replay_device": ".kernel",
+    "run_fleet": ".kernel",
+    "fleet_payload": ".report",
+    "fleet_summary": ".report",
+    "render_fleet_summary": ".report",
+    "write_fleet_results": ".report",
+    "FleetArrays": ".soa",
+    "device_config_hash": ".spec",
+    "DEVICE_OFFSET_KEY": ".spec",
+    "FleetSpec": ".spec",
+    "resolve_device_config": ".spec",
+    "correlation_report": ".telemetry",
+    "FleetTelemetry": ".telemetry",
+    "render_correlation": ".telemetry",
+})

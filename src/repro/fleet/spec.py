@@ -33,7 +33,9 @@ from repro.exp.spec import (
     _auto_label,
     check_axes,
     config_hash,
+    is_number,
     resolve_config,
+    spec_number,
     spec_object,
 )
 
@@ -57,15 +59,16 @@ def resolve_device_config(config: Mapping) -> Dict:
     raw = dict(config)
     offset = raw.pop(DEVICE_OFFSET_KEY, 0.0)
     resolved = resolve_config(raw)
-    offset = float(offset)
-    if offset < 0:
-        raise ValueError("trace_offset_s cannot be negative")
+    if not is_number(offset) or offset < 0:
+        raise ValueError(
+            f"trace_offset_s must be a non-negative number, got {offset!r}"
+        )
     if offset >= resolved["duration_s"]:
         raise ValueError(
             f"trace_offset_s ({offset}s) is at/past the trace duration "
             f"({resolved['duration_s']}s)"
         )
-    resolved[DEVICE_OFFSET_KEY] = offset
+    resolved[DEVICE_OFFSET_KEY] = float(offset)
     return resolved
 
 
@@ -114,8 +117,11 @@ class FleetSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("fleet spec needs a name")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(
+                "fleet spec name must be a non-empty string, "
+                f"got {self.name!r}"
+            )
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; known: {MODES}")
         if self.replicas < 1:
@@ -207,12 +213,9 @@ class FleetSpec:
             axes=spec_object(data, "axes"),
             base=spec_object(data, "base"),
             mode=data.get("mode", "grid"),
-            replicas=int(data.get("replicas", 1)),
-            stagger_s=float(data.get("stagger_s", 0.0)),
-            telemetry_every_s=(
-                None if data.get("telemetry_every_s") is None
-                else float(data["telemetry_every_s"])
-            ),
+            replicas=spec_number(data, "replicas", 1, kind=int),
+            stagger_s=spec_number(data, "stagger_s", 0.0),
+            telemetry_every_s=spec_number(data, "telemetry_every_s", None),
             description=data.get("description", ""),
         )
 

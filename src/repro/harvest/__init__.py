@@ -9,35 +9,21 @@ surveys (kinetic/piezo, solar, RF/WiFi, thermal), models the AC-DC
 rectifier, and provides outage analytics.
 """
 
-from repro.harvest.traces import PowerTrace
-from repro.harvest.sources import (
-    combine_traces,
-    constant_trace,
-    hybrid_trace,
-    rf_trace,
-    solar_trace,
-    square_trace,
-    thermal_trace,
-    wristwatch_trace,
-    SOURCE_GENERATORS,
-    standard_profiles,
-)
-from repro.harvest.rectifier import Rectifier
-from repro.harvest.outage import OutageStats, analyze_outages
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OutageStats",
-    "PowerTrace",
-    "Rectifier",
-    "SOURCE_GENERATORS",
-    "analyze_outages",
-    "combine_traces",
-    "constant_trace",
-    "hybrid_trace",
-    "rf_trace",
-    "solar_trace",
-    "square_trace",
-    "standard_profiles",
-    "thermal_trace",
-    "wristwatch_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "analyze_outages": ".outage",
+    "OutageStats": ".outage",
+    "Rectifier": ".rectifier",
+    "combine_traces": ".sources",
+    "constant_trace": ".sources",
+    "hybrid_trace": ".sources",
+    "rf_trace": ".sources",
+    "solar_trace": ".sources",
+    "SOURCE_GENERATORS": ".sources",
+    "square_trace": ".sources",
+    "standard_profiles": ".sources",
+    "thermal_trace": ".sources",
+    "wristwatch_trace": ".sources",
+    "PowerTrace": ".traces",
+})

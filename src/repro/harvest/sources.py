@@ -24,6 +24,9 @@ from repro.harvest.traces import DEFAULT_DT_S, PowerTrace
 
 RngLike = Union[int, np.random.Generator, None]
 
+#: Samples per chunk of the Ornstein–Uhlenbeck recurrence.
+_OU_CHUNK = 65536
+
 
 def _rng(seed: RngLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -50,15 +53,24 @@ def _ou_process(
     rng: np.random.Generator,
     x0: float = 0.0,
 ) -> np.ndarray:
-    """Ornstein–Uhlenbeck process with unit mean-reversion target 0."""
+    """Ornstein–Uhlenbeck process with unit mean-reversion target 0.
+
+    The recurrence runs over Python floats, a chunk of
+    :data:`_OU_CHUNK` samples at a time, so peak memory stays flat; the
+    float operations and their order are those of a per-element loop
+    over the array, so the samples are bit-identical to it.
+    """
     alpha = float(np.exp(-dt_s / tau_s))
     noise_scale = sigma * float(np.sqrt(1.0 - alpha * alpha))
     steps = rng.standard_normal(n) * noise_scale
     x = np.empty(n)
     value = x0
-    for i in range(n):
-        value = alpha * value + steps[i]
-        x[i] = value
+    for start in range(0, n, _OU_CHUNK):
+        chunk = steps[start:start + _OU_CHUNK].tolist()
+        for i, step in enumerate(chunk):
+            value = alpha * value + step
+            chunk[i] = value
+        x[start:start + len(chunk)] = chunk
     return x
 
 

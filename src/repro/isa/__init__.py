@@ -12,45 +12,28 @@ progress) and *energy per instruction* — the quantities NVP papers
 report — while remaining easy to write kernels for.
 """
 
-from repro.isa.instructions import (
-    Instruction,
-    Opcode,
-    REGISTER_NAMES,
-    decode,
-    encode,
-)
-from repro.isa.assembler import AssemblerError, Program, assemble
-from repro.isa.disasm import disassemble, disassemble_program
-from repro.isa.memory import (
-    MemoryMap,
-    MMIO_BASE,
-    NVM_BASE,
-    OUTPUT_PORT,
-    RAM_BASE,
-)
-from repro.isa.cpu import CPU, CPUState, ExecutionError
-from repro.isa.energy import EnergyModel, InstrClass, classify
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AssemblerError",
-    "CPU",
-    "CPUState",
-    "EnergyModel",
-    "ExecutionError",
-    "Instruction",
-    "InstrClass",
-    "MemoryMap",
-    "MMIO_BASE",
-    "NVM_BASE",
-    "Opcode",
-    "OUTPUT_PORT",
-    "Program",
-    "RAM_BASE",
-    "REGISTER_NAMES",
-    "assemble",
-    "classify",
-    "decode",
-    "disassemble",
-    "disassemble_program",
-    "encode",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "assemble": ".assembler",
+    "AssemblerError": ".assembler",
+    "Program": ".assembler",
+    "CPU": ".cpu",
+    "CPUState": ".cpu",
+    "ExecutionError": ".cpu",
+    "disassemble": ".disasm",
+    "disassemble_program": ".disasm",
+    "classify": ".energy",
+    "EnergyModel": ".energy",
+    "InstrClass": ".energy",
+    "decode": ".instructions",
+    "encode": ".instructions",
+    "Instruction": ".instructions",
+    "Opcode": ".instructions",
+    "REGISTER_NAMES": ".instructions",
+    "MemoryMap": ".memory",
+    "MMIO_BASE": ".memory",
+    "NVM_BASE": ".memory",
+    "OUTPUT_PORT": ".memory",
+    "RAM_BASE": ".memory",
+})

@@ -28,23 +28,24 @@ same 16-bit semantics as the generated code and serves as the
 cross-check oracle in the test suite.
 """
 
-from repro.lang.lexer import LexError, Token, tokenize
-from repro.lang.parser import ParseError, parse
-from repro.lang.interp import InterpError, interpret
-from repro.lang.codegen import CodegenError, compile_program, compile_source
-from repro.lang.lint import LintWarning, lint
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CodegenError",
-    "InterpError",
-    "LexError",
-    "LintWarning",
-    "ParseError",
-    "Token",
-    "compile_program",
-    "compile_source",
-    "interpret",
-    "lint",
-    "parse",
-    "tokenize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "CodegenError": ".codegen",
+    "compile_program": ".codegen",
+    "compile_source": ".codegen",
+    "InterpError": ".interp",
+    "interpret": ".interp",
+    "LexError": ".lexer",
+    "Token": ".lexer",
+    "tokenize": ".lexer",
+    "lint": ".lint",
+    "LintWarning": ".lint",
+    "parse": ".parser",
+    "ParseError": ".parser",
+})
+
+# ``lint`` is also the name of its own submodule, and importing a
+# submodule binds it on the package, so the function is bound eagerly
+# (as the package did before it was lazy) rather than on first lookup.
+from repro.lang.lint import lint  # noqa: E402

@@ -19,70 +19,38 @@ latches.  This package provides:
   (:mod:`repro.nvm.writecircuit`).
 """
 
-from repro.nvm.technology import (
-    FERAM,
-    FEFET,
-    NOR_FLASH,
-    NVMTechnology,
-    PCM,
-    RERAM,
-    SRAM_REFERENCE,
-    STT_MRAM,
-    TECHNOLOGIES,
-    technology_by_name,
-)
-from repro.nvm.sttram import (
-    STTParameters,
-    optimal_pulse_width,
-    required_delta,
-    retention_from_delta,
-    write_current,
-    write_energy,
-    write_energy_at_optimum,
-)
-from repro.nvm.retention import (
-    LinearPolicy,
-    LogPolicy,
-    ParabolaPolicy,
-    RetentionPolicy,
-    UniformPolicy,
-    failure_probability,
-    sample_bit_failures,
-)
-from repro.nvm.array import NVMArray, WearReport
-from repro.nvm.ecc import DecodeStatus, decode as ecc_decode, encode as ecc_encode
-from repro.nvm.writecircuit import SelfTerminatingWriteCircuit, WriteCircuitReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DecodeStatus",
-    "FERAM",
-    "FEFET",
-    "WearReport",
-    "ecc_decode",
-    "ecc_encode",
-    "LinearPolicy",
-    "LogPolicy",
-    "NOR_FLASH",
-    "NVMArray",
-    "NVMTechnology",
-    "PCM",
-    "ParabolaPolicy",
-    "RERAM",
-    "RetentionPolicy",
-    "SRAM_REFERENCE",
-    "STTParameters",
-    "STT_MRAM",
-    "SelfTerminatingWriteCircuit",
-    "TECHNOLOGIES",
-    "UniformPolicy",
-    "WriteCircuitReport",
-    "failure_probability",
-    "optimal_pulse_width",
-    "required_delta",
-    "retention_from_delta",
-    "sample_bit_failures",
-    "technology_by_name",
-    "write_current",
-    "write_energy",
-    "write_energy_at_optimum",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "NVMArray": ".array",
+    "WearReport": ".array",
+    "DecodeStatus": ".ecc",
+    "ecc_decode": ".ecc:decode",
+    "ecc_encode": ".ecc:encode",
+    "failure_probability": ".retention",
+    "LinearPolicy": ".retention",
+    "LogPolicy": ".retention",
+    "ParabolaPolicy": ".retention",
+    "RetentionPolicy": ".retention",
+    "sample_bit_failures": ".retention",
+    "UniformPolicy": ".retention",
+    "optimal_pulse_width": ".sttram",
+    "required_delta": ".sttram",
+    "retention_from_delta": ".sttram",
+    "STTParameters": ".sttram",
+    "write_current": ".sttram",
+    "write_energy": ".sttram",
+    "write_energy_at_optimum": ".sttram",
+    "FEFET": ".technology",
+    "FERAM": ".technology",
+    "NOR_FLASH": ".technology",
+    "NVMTechnology": ".technology",
+    "PCM": ".technology",
+    "RERAM": ".technology",
+    "SRAM_REFERENCE": ".technology",
+    "STT_MRAM": ".technology",
+    "TECHNOLOGIES": ".technology",
+    "technology_by_name": ".technology",
+    "SelfTerminatingWriteCircuit": ".writecircuit",
+    "WriteCircuitReport": ".writecircuit",
+})

@@ -29,7 +29,9 @@ is a consumer of that bus:
   ``simulate``/``sweep``/``compare``/bench invocation appends to
   (``repro runs list/show/diff/gc``);
 * :mod:`repro.obs.resources` — per-worker CPU/peak-RSS accounting via
-  ``getrusage``, shipped home in sweep result payloads.
+  ``getrusage``, shipped home in sweep result payloads;
+* :mod:`repro.obs.jsonl` — the one torn-line-tolerant reader behind
+  the ledger, the benchmark history and telemetry snapshots.
 
 When no bus is attached the instrumented code paths reduce to a
 single ``is not None`` test per tick — simulations without observers
@@ -38,89 +40,50 @@ subscription forces the exact engine; everything else rides the fast
 path.
 """
 
-from repro.obs.events import Event, EventBus, EventLog
-from repro.obs.history import BenchReport, append_record, build_report, read_history
-from repro.obs.ledger import (
-    RunLedger,
-    default_ledger_path,
-    diff_records,
-    format_diff,
-)
-from repro.obs.resources import (
-    ResourceSample,
-    aggregate_usage,
-    sample_resources,
-    usage_between,
-)
-from repro.obs.spans import Span, SpanTracer
-from repro.obs.synth import FastPathEventSynthesizer
-from repro.obs.export import (
-    SnapshotWriter,
-    chrome_trace,
-    flatten_snapshot,
-    load_chrome_trace,
-    prometheus_text,
-    read_snapshots,
-    snapshot_prometheus,
-    write_chrome_trace,
-    write_events_jsonl,
-    write_metrics_csv,
-    write_prometheus,
-)
-from repro.obs.fleetstats import (
-    FixedBinHistogram,
-    P2Quantile,
-    QuantileDigest,
-    co_outage_matrix,
-    find_storms,
-    windowed_outages,
-)
-from repro.obs.manifest import RunManifest
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.summary import FleetMonitor, LiveSummary, SweepMonitor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventBus",
-    "EventLog",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "RunManifest",
-    "FixedBinHistogram",
-    "FleetMonitor",
-    "LiveSummary",
-    "P2Quantile",
-    "QuantileDigest",
-    "SnapshotWriter",
-    "SweepMonitor",
-    "co_outage_matrix",
-    "find_storms",
-    "flatten_snapshot",
-    "prometheus_text",
-    "read_snapshots",
-    "snapshot_prometheus",
-    "windowed_outages",
-    "write_prometheus",
-    "FastPathEventSynthesizer",
-    "Span",
-    "SpanTracer",
-    "BenchReport",
-    "RunLedger",
-    "ResourceSample",
-    "aggregate_usage",
-    "append_record",
-    "build_report",
-    "default_ledger_path",
-    "diff_records",
-    "format_diff",
-    "read_history",
-    "sample_resources",
-    "usage_between",
-    "chrome_trace",
-    "load_chrome_trace",
-    "write_chrome_trace",
-    "write_events_jsonl",
-    "write_metrics_csv",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "Event": ".events",
+    "EventBus": ".events",
+    "EventLog": ".events",
+    "chrome_trace": ".export",
+    "flatten_snapshot": ".export",
+    "load_chrome_trace": ".export",
+    "prometheus_text": ".export",
+    "read_snapshots": ".export",
+    "snapshot_prometheus": ".export",
+    "SnapshotWriter": ".export",
+    "write_chrome_trace": ".export",
+    "write_events_jsonl": ".export",
+    "write_metrics_csv": ".export",
+    "write_prometheus": ".export",
+    "co_outage_matrix": ".fleetstats",
+    "find_storms": ".fleetstats",
+    "FixedBinHistogram": ".fleetstats",
+    "P2Quantile": ".fleetstats",
+    "QuantileDigest": ".fleetstats",
+    "windowed_outages": ".fleetstats",
+    "append_record": ".history",
+    "BenchReport": ".history",
+    "build_report": ".history",
+    "read_history": ".history",
+    "default_ledger_path": ".ledger",
+    "diff_records": ".ledger",
+    "format_diff": ".ledger",
+    "RunLedger": ".ledger",
+    "RunManifest": ".manifest",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "aggregate_usage": ".resources",
+    "ResourceSample": ".resources",
+    "sample_resources": ".resources",
+    "usage_between": ".resources",
+    "Span": ".spans",
+    "SpanTracer": ".spans",
+    "FleetMonitor": ".summary",
+    "LiveSummary": ".summary",
+    "SweepMonitor": ".summary",
+    "FastPathEventSynthesizer": ".synth",
+})

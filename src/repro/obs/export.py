@@ -33,6 +33,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.obs import events as ev
 from repro.obs.events import Event, EventLog
+from repro.obs.jsonl import read_jsonl
 from repro.obs.metrics import MetricsRegistry
 
 #: Thread ids used in exported traces.
@@ -468,16 +469,4 @@ class SnapshotWriter:
 
 def read_snapshots(path: str) -> List[Dict]:
     """Read a JSONL snapshot series back; torn/blank lines are skipped."""
-    out: List[Dict] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                out.append(record)
-    return out
+    return read_jsonl(path)[0]

@@ -34,7 +34,8 @@ Record schema (version 1)::
       "spec_hash": "<16-hex fingerprint of the expanded config hashes>",
       "outcome": "ok" | "error" | "timeout" | "interrupted",
       "started_unix": float, "ended_unix": float, "wall_s": float,
-      "code_version": "<repro.__version__>", "git_sha": "...", "pid": int,
+      "code_version": "<repro.exp.cache.code_version()>", "git_sha": "...",
+      "pid": int,
       "points":    {"total", "executed", "cached", "failed", "interrupted"},
       "cache":     {"hits", "misses", "hit_rate"},
       "resources": {"cpu_user_s", "cpu_system_s", "cpu_s",
@@ -58,14 +59,12 @@ import time
 import uuid
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.exp.cache import code_version, default_cache_dir
+from repro.obs.jsonl import read_jsonl
+
 #: Environment variable relocating (non-empty) or disabling (``""``)
 #: the ledger.
 LEDGER_DIR_ENV = "REPRO_LEDGER_DIR"
-
-#: Mirrors :data:`repro.exp.cache.CACHE_DIR_ENV` — duplicated here so
-#: ``repro.obs`` never imports ``repro.exp`` (which imports us back).
-_CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-_DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Ledger file name inside the ledger directory.
 LEDGER_BASENAME = "ledger.jsonl"
@@ -83,17 +82,12 @@ OUTCOMES: Tuple[str, ...] = (
 )
 
 
-def default_cache_root() -> str:
-    """The result-cache root the ledger prunes against."""
-    return os.environ.get(_CACHE_DIR_ENV) or _DEFAULT_CACHE_DIR
-
-
 def default_ledger_dir() -> Optional[str]:
     """The ledger directory, or ``None`` when recording is disabled."""
     value = os.environ.get(LEDGER_DIR_ENV)
     if value is not None:
         return value or None
-    return default_cache_root()
+    return default_cache_dir()
 
 
 def default_ledger_path() -> Optional[str]:
@@ -112,12 +106,6 @@ def spec_fingerprint(keys: Sequence[str]) -> str:
     """
     digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
     return digest[:16]
-
-
-def _code_version() -> str:
-    import repro
-
-    return getattr(repro, "__version__", "unversioned")
 
 
 def make_record(
@@ -162,7 +150,7 @@ def make_record(
         "started_unix": float(started_unix),
         "ended_unix": float(ended_unix),
         "wall_s": max(0.0, float(ended_unix) - float(started_unix)),
-        "code_version": _code_version(),
+        "code_version": code_version(),
         "git_sha": git_revision(),
         "pid": os.getpid(),
     }
@@ -361,44 +349,36 @@ class RunLedger:
         the "find my fleet runs" filter (records without the stamp
         count as single-device).
         """
-        out: List[Dict] = []
         try:
-            handle = open(self.path)
+            records, _ = read_jsonl(self.path)
         except OSError:
-            return out
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if not isinstance(record, dict) or "command" not in record:
-                    continue
-                if command is not None and record.get("command") != command:
-                    continue
-                if experiment is not None and (
-                    record.get("experiment") != experiment
-                ):
-                    continue
-                if outcome is not None and record.get("outcome") != outcome:
-                    continue
-                if spec is not None and not str(
-                    record.get("spec_hash") or ""
-                ).startswith(spec):
-                    continue
-                started = float(record.get("started_unix") or 0.0)
-                if since is not None and started < since:
-                    continue
-                if until is not None and started > until:
-                    continue
-                if devices_min is not None and int(
-                    record.get("n_devices") or 1
-                ) < devices_min:
-                    continue
-                out.append(record)
+            return []
+        out: List[Dict] = []
+        for record in records:
+            if "command" not in record:
+                continue
+            if command is not None and record.get("command") != command:
+                continue
+            if experiment is not None and (
+                record.get("experiment") != experiment
+            ):
+                continue
+            if outcome is not None and record.get("outcome") != outcome:
+                continue
+            if spec is not None and not str(
+                record.get("spec_hash") or ""
+            ).startswith(spec):
+                continue
+            started = float(record.get("started_unix") or 0.0)
+            if since is not None and started < since:
+                continue
+            if until is not None and started > until:
+                continue
+            if devices_min is not None and int(
+                record.get("n_devices") or 1
+            ) < devices_min:
+                continue
+            out.append(record)
         return out
 
     def __len__(self) -> int:
@@ -445,7 +425,7 @@ class RunLedger:
         Returns ``(kept, pruned)`` counts; with ``dry_run`` the file
         is left untouched.
         """
-        root = cache_root or default_cache_root()
+        root = cache_root or default_cache_dir()
         kept: List[Dict] = []
         pruned = 0
         for record in self.records():

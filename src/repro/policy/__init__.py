@@ -14,18 +14,13 @@ on NVPs, each re-implemented here:
   (Spendthrift class).
 """
 
-from repro.policy.dpm import EnergyBandGovernor, efficient_band
-from repro.policy.mlmatch import ConfigMatcher, trace_features
-from repro.policy.freqscale import (
-    PowerAwareFrequencyPolicy,
-    frequency_sweep,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConfigMatcher",
-    "EnergyBandGovernor",
-    "PowerAwareFrequencyPolicy",
-    "efficient_band",
-    "frequency_sweep",
-    "trace_features",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "efficient_band": ".dpm",
+    "EnergyBandGovernor": ".dpm",
+    "frequency_sweep": ".freqscale",
+    "PowerAwareFrequencyPolicy": ".freqscale",
+    "ConfigMatcher": ".mlmatch",
+    "trace_features": ".mlmatch",
+})

@@ -10,17 +10,14 @@ charging current; an idealised storage reference; and single- versus
 dual-channel front-end architectures.
 """
 
-from repro.storage.capacitor import Capacitor, ChargeEfficiency, StorageStep
-from repro.storage.ideal import IdealStorage
-from repro.storage.frontend import DualChannelFrontEnd, SingleChannelFrontEnd
-from repro.storage.tiered import TieredStorage
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Capacitor",
-    "ChargeEfficiency",
-    "DualChannelFrontEnd",
-    "IdealStorage",
-    "SingleChannelFrontEnd",
-    "StorageStep",
-    "TieredStorage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "Capacitor": ".capacitor",
+    "ChargeEfficiency": ".capacitor",
+    "StorageStep": ".capacitor",
+    "DualChannelFrontEnd": ".frontend",
+    "SingleChannelFrontEnd": ".frontend",
+    "IdealStorage": ".ideal",
+    "TieredStorage": ".tiered",
+})

@@ -6,25 +6,17 @@ re-implementation of the published MATLAB/Python system-level
 simulation methodology that drove the RTL/functional simulator.
 """
 
-from repro.system.simulator import Platform, SystemSimulator, TickReport
-from repro.system.result import SimulationResult
-from repro.system.scheduler import (
-    PeriodicTask,
-    ScheduleReport,
-    schedule_replay,
-)
-from repro.system.telemetry import Telemetry
-from repro.system.thresholds import ThresholdPlan, plan_thresholds
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PeriodicTask",
-    "Platform",
-    "ScheduleReport",
-    "SimulationResult",
-    "SystemSimulator",
-    "Telemetry",
-    "ThresholdPlan",
-    "TickReport",
-    "plan_thresholds",
-    "schedule_replay",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "SimulationResult": ".result",
+    "PeriodicTask": ".scheduler",
+    "schedule_replay": ".scheduler",
+    "ScheduleReport": ".scheduler",
+    "Platform": ".simulator",
+    "SystemSimulator": ".simulator",
+    "TickReport": ".simulator",
+    "Telemetry": ".telemetry",
+    "plan_thresholds": ".thresholds",
+    "ThresholdPlan": ".thresholds",
+})

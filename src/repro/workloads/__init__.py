@@ -10,16 +10,11 @@ them.  Each kernel here comes in up to three forms:
 * an instruction-mix descriptor (fast abstract simulation).
 """
 
-from repro.workloads.base import (
-    AbstractWorkload,
-    AdvanceResult,
-    FunctionalWorkload,
-    Workload,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AbstractWorkload",
-    "AdvanceResult",
-    "FunctionalWorkload",
-    "Workload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "AbstractWorkload": ".base",
+    "AdvanceResult": ".base",
+    "FunctionalWorkload": ".base",
+    "Workload": ".base",
+})

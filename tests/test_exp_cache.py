@@ -2,13 +2,17 @@
 
 import json
 import os
+import re
+import shutil
 
 import pytest
 
+import repro
 from repro.exp.cache import (
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIR,
     ResultCache,
+    code_version,
     default_cache_dir,
 )
 
@@ -77,10 +81,12 @@ class TestVersionNamespace:
         assert old.get(KEY)["result"] == "old-physics"
         assert new.get(KEY)["result"] == "new-physics"
 
-    def test_default_version_is_package_version(self, tmp_path):
-        import repro
-
-        assert ResultCache(str(tmp_path)).version == repro.__version__
+    def test_default_version_is_code_version(self, tmp_path):
+        version = ResultCache(str(tmp_path)).version
+        assert version == code_version()
+        assert re.fullmatch(
+            re.escape(repro.__version__) + r"\+[0-9a-f]{12}", version
+        )
 
     def test_clear_only_touches_own_version(self, tmp_path):
         old = ResultCache(str(tmp_path), version="1.0.0")
@@ -90,6 +96,56 @@ class TestVersionNamespace:
         assert new.clear() == 1
         assert new.get(KEY) is None
         assert old.get(KEY)["result"] == 1
+
+
+class TestModelCodeVersion:
+    """The namespace follows the model sources, not just the version."""
+
+    @staticmethod
+    def _copy_package(dest):
+        source = os.path.dirname(os.path.abspath(repro.__file__))
+        shutil.copytree(
+            source, dest, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        return str(dest)
+
+    @staticmethod
+    def _flip_last_byte(path):
+        with open(path, "rb+") as handle:
+            handle.seek(-1, os.SEEK_END)
+            last = handle.read(1)
+            handle.seek(-1, os.SEEK_END)
+            handle.write(b" " if last != b" " else b"\n")
+
+    def test_copy_hashes_like_the_package(self, tmp_path):
+        copy = self._copy_package(tmp_path / "repro")
+        assert code_version(copy) == code_version()
+
+    def test_one_byte_model_edit_is_a_cache_miss(self, tmp_path):
+        old_tree = self._copy_package(tmp_path / "old" / "repro")
+        new_tree = self._copy_package(tmp_path / "new" / "repro")
+        self._flip_last_byte(os.path.join(new_tree, "core", "nvp.py"))
+        old_version = code_version(old_tree)
+        new_version = code_version(new_tree)
+        assert old_version != new_version
+        root = str(tmp_path / "cache")
+        old = ResultCache(root, version=old_version)
+        old.put(KEY, {"result": "old-physics"})
+        new = ResultCache(root, version=new_version)
+        assert new.directory != old.directory
+        assert new.get(KEY) is None
+        assert old.get(KEY)["result"] == "old-physics"
+
+    def test_edit_outside_the_model_keeps_the_namespace(self, tmp_path):
+        tree = self._copy_package(tmp_path / "repro")
+        self._flip_last_byte(os.path.join(tree, "cli.py"))
+        assert code_version(tree) == code_version()
+
+    def test_ledger_records_the_code_version(self):
+        from repro.obs.ledger import make_record
+
+        record = make_record("simulate", "ok", 0.0, 1.0)
+        assert record["code_version"] == code_version()
 
 
 class TestKeys:

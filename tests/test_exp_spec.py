@@ -195,6 +195,9 @@ class TestSpecFiles:
         ({"name": "x", "axes": {"capacitance_f": [0.0]}}, "capacitance_f"),
         ({"name": "x", "base": [["seed", 1]]}, "base"),
         ({"name": "x", "axes": "platform"}, "axes"),
+        # Found by tests/test_spec_fuzz.py:
+        ({"name": "x", "base": {"duration_s": float("inf")}}, "duration_s"),
+        ({"name": ["x"]}, "name"),
     ])
     def test_malformed_spec_names_the_field(self, data, field):
         with pytest.raises(ValueError, match=field):

@@ -110,6 +110,20 @@ class TestFleetSpec:
         ({"axes": {"capacitance_f": [1e-7, 0]}}, "capacitance_f"),
         ({"base": ["duration_s"]}, "base"),
         ({"axes": [["platform", ["nvp"]]]}, "axes"),
+        # Found by tests/test_spec_fuzz.py:
+        ({"replicas": "2"}, "replicas"),
+        ({"replicas": 1.5}, "replicas"),
+        ({"replicas": True}, "replicas"),
+        ({"stagger_s": []}, "stagger_s"),
+        ({"stagger_s": float("nan")}, "stagger_s"),
+        ({"telemetry_every_s": {}}, "telemetry_every_s"),
+        ({"base": {"duration_s": 0.2, "trace_offset_s": None}},
+         "trace_offset_s"),
+        ({"base": {"duration_s": 0.2, "trace_offset_s": {}}},
+         "trace_offset_s"),
+        ({"base": {"duration_s": 0.2, "trace_offset_s": float("nan")}},
+         "trace_offset_s"),
+        ({"name": 7}, "name"),
     ])
     def test_malformed_spec_names_the_field(self, overrides, field):
         with pytest.raises(ValueError, match=field):

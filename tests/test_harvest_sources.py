@@ -6,6 +6,7 @@ import pytest
 from repro.harvest.outage import DEFAULT_THRESHOLD_W, analyze_outages
 from repro.harvest.sources import (
     SOURCE_GENERATORS,
+    _ou_process,
     constant_trace,
     rf_trace,
     solar_trace,
@@ -14,6 +15,31 @@ from repro.harvest.sources import (
     thermal_trace,
     wristwatch_trace,
 )
+
+
+def _ou_reference(n, dt_s, tau_s, sigma, rng, x0=0.0):
+    """The per-element Ornstein–Uhlenbeck loop ``_ou_process`` replaced."""
+    alpha = float(np.exp(-dt_s / tau_s))
+    noise_scale = sigma * float(np.sqrt(1.0 - alpha * alpha))
+    steps = rng.standard_normal(n) * noise_scale
+    x = np.empty(n)
+    value = x0
+    for i in range(n):
+        value = alpha * value + steps[i]
+        x[i] = value
+    return x
+
+
+class TestOUProcess:
+    @pytest.mark.parametrize("n", [1, 65_535, 65_536, 65_537, 200_003])
+    @pytest.mark.parametrize("tau_s, x0", [(4e-3, 0.0), (0.5, 0.0),
+                                           (30.0, -1.75)])
+    def test_bit_identical_to_per_element_loop(self, n, tau_s, x0):
+        args = (n, 1e-4, tau_s, 1.4)
+        fast = _ou_process(*args, rng=np.random.default_rng(11), x0=x0)
+        slow = _ou_reference(*args, rng=np.random.default_rng(11), x0=x0)
+        assert fast.dtype == slow.dtype == np.float64
+        assert fast.tobytes() == slow.tobytes()
 
 
 class TestDeterminism:
